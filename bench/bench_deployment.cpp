@@ -23,14 +23,14 @@ using namespace dbgp;
 
 namespace {
 
-struct RunStats {
+struct RunCost {
   std::size_t events = 0;
   std::uint64_t ias_sent = 0;
   std::uint64_t bytes_sent = 0;
 };
 
-RunStats collect(simnet::DbgpNetwork& net, std::size_t events) {
-  RunStats stats;
+RunCost collect(simnet::DbgpNetwork& net, std::size_t events) {
+  RunCost stats;
   stats.events = events;
   for (bgp::AsNumber asn : net.as_numbers()) {
     stats.ias_sent += net.speaker(asn).stats().ias_sent;
@@ -89,13 +89,18 @@ bool run_wiser(bool legacy_gulf) {
   net.add_link(5, 6);
   net.add_link(6, 9);
   net.originate(1, dest);
-  const std::size_t events = net.run_to_convergence();
+  const simnet::RunStats run = net.run_to_convergence();
+  if (run.capped) {
+    std::printf("  %-22s NOT CONVERGED (event cap hit after %zu events)\n",
+                legacy_gulf ? "BGP baseline:" : "D-BGP baseline:", run.processed);
+    return false;
+  }
 
   const auto* best = net.speaker(9).best(dest);
   const bool low_cost_chosen = best != nullptr && best->ia.path_vector.contains_as(3);
   const std::uint64_t seen_cost =
       best != nullptr ? protocols::WiserModule::path_cost(*best) : 0;
-  const auto stats = collect(net, events);
+  const auto stats = collect(net, run.processed);
 
   std::printf("  %-22s picked %s-cost path (cost seen: %llu), %zu events, %llu IAs, "
               "%llu bytes\n",
@@ -145,11 +150,15 @@ bool run_pathlets() {
   net.add_link(2, 7);
   net.add_link(7, 9);
   net.originate(1, dest);
-  const std::size_t events = net.run_to_convergence();
+  const simnet::RunStats run = net.run_to_convergence();
+  if (run.capped) {
+    std::printf("  pathlets: NOT CONVERGED (event cap hit after %zu events)\n", run.processed);
+    return false;
+  }
 
   const auto* best = net.speaker(9).best(dest);
   const std::size_t seen = best != nullptr ? protocols::count_pathlets(best->ia) : 0;
-  const auto stats = collect(net, events);
+  const auto stats = collect(net, run.processed);
   std::printf("  pathlets visible at S: %zu (expected 5), learned into store: %zu, "
               "%zu events, %llu IAs, %llu bytes\n",
               seen, store_s.all().size(), stats.events,

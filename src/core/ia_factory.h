@@ -33,13 +33,27 @@ class IaFactory {
 
   // Builds the outgoing IA for a selected best route. `active` may be null
   // (pure gulf AS: pass-through only). Pass-through happens here: `best.ia`
-  // is the stored incoming advertisement from the IA DB.
+  // is the stored incoming advertisement from the IA DB. Equivalent to
+  // annotate(export_base(best), &best, active, ctx).
   ia::IntegratedAdvertisement create_from_best(const IaRoute& best, DecisionModule* active,
                                                const ExportContext& ctx) const;
 
-  // Builds the IA for a locally originated prefix.
+  // Builds the IA for a locally originated prefix. Equivalent to
+  // annotate(origin_base(prefix), nullptr, active, ctx).
   ia::IntegratedAdvertisement create_origin(const net::Prefix& prefix, DecisionModule* active,
                                             const ExportContext& ctx) const;
+
+  // The peer-invariant halves of the two builders above: the pass-through
+  // copy of `best.ia` (or a fresh IA for an origin) with the baseline updates
+  // applied. A speaker builds one per decision and shares it across peers.
+  ia::IntegratedAdvertisement export_base(const IaRoute& best) const;
+  ia::IntegratedAdvertisement origin_base(const net::Prefix& prefix) const;
+
+  // The per-peer half: the active module's export hook rewrites `base` for
+  // `ctx.to_peer` (annotate_origin when `best` is null, annotate_export
+  // otherwise). Takes the base by value so every peer annotates its own copy.
+  ia::IntegratedAdvertisement annotate(ia::IntegratedAdvertisement base, const IaRoute* best,
+                                       DecisionModule* active, const ExportContext& ctx) const;
 
   const Params& params() const noexcept { return params_; }
 

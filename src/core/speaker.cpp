@@ -260,6 +260,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_frame(bgp::PeerId from,
   telemetry::ScopedTimer frame_timer(SpeakerMetrics::get().frame_seconds);
   drain_staged();  // deferred frames arrived first; stage them first
   std::vector<DbgpOutgoing> out;
+  out.reserve(peers_.size());
   if (auto prefix = stage_frame(from, bytes, cause)) run_decision(*prefix, out);
   return out;
 }
@@ -269,6 +270,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_ia(bgp::PeerId from,
                                                  telemetry::SpanId cause) {
   drain_staged();
   std::vector<DbgpOutgoing> out;
+  out.reserve(peers_.size());
   if (auto prefix = stage_ia(from, std::move(ia), cause)) run_decision(*prefix, out);
   return out;
 }
@@ -606,7 +608,7 @@ void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoi
       }
       finish(&slot->second, /*origin=*/true, changed);
     }
-    advertise_to_peers(active, prefix, slot->second, /*origin=*/true, out);
+    advertise_to_peers(active, prefix, slot->second, out);
     return;
   }
 
@@ -682,7 +684,50 @@ void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoi
   finish(&slot->second, /*origin=*/false, changed);
   // Even when the selection is unchanged we re-advertise through delta
   // suppression, which is a no-op if nothing differs.
-  advertise_to_peers(active, prefix, slot->second, /*origin=*/false, out);
+  advertise_to_peers(active, prefix, slot->second, out);
+}
+
+// -- Export (stages 5-7) -------------------------------------------------------
+
+DbgpSpeaker::ExportBase DbgpSpeaker::export_base(DecisionModule* active,
+                                                 const net::Prefix& prefix,
+                                                 const IaRoute& best) const {
+  return {best, active,
+          best.from_peer == bgp::kInvalidPeer ? factory_.origin_base(prefix)
+                                              : factory_.export_base(best)};
+}
+
+ia::SharedFrame DbgpSpeaker::export_frame(bgp::PeerId peer, const ExportBase& base,
+                                          ia::FrameCache& cache) const {
+  if (peer == base.best.from_peer) return nullptr;  // split horizon
+  const Peer& to = peers_[peer];
+  ExportContext ectx;
+  ectx.own_as = config_.asn;
+  ectx.own_island = config_.island;
+  ectx.to_peer = peer;
+  ectx.to_peer_as = to.asn;
+  ectx.to_peer_in_same_island = to.same_island;
+  // Every peer annotates its own copy of the base: some protocols (e.g.,
+  // BGPSec) bind their control information to the peer the IA is sent to.
+  const bool origin = base.best.from_peer == bgp::kInvalidPeer;
+  ia::IntegratedAdvertisement ia_out =
+      factory_.annotate(base.ia, origin ? nullptr : &base.best, base.active, ectx);
+
+  // Stage 7: global export filters (skip island handling toward peers in
+  // our own island — abstraction happens only at the true egress).
+  if (!to.same_island) {
+    FilterContext fctx;
+    fctx.own_as = config_.asn;
+    fctx.own_island = config_.island;
+    fctx.peer = peer;
+    fctx.peer_as = to.asn;
+    fctx.ingress = false;
+    if (!export_filters_.apply(ia_out, fctx)) return nullptr;
+  }
+  // Encode-once fan-out: identical per-peer advertisements (the common case
+  // — export rewrites are the exception) resolve to one shared frame.
+  return cache.get_or_encode(ia_out, config_.codec,
+                             [&] { return encode_announce(ia_out, config_.codec); });
 }
 
 // -- Parallel decision planning ----------------------------------------------
@@ -713,7 +758,7 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
     plan.has_best = true;
     plan.store = true;  // the sequential path overwrites even when unchanged
     plan.best = std::move(origin);
-    plan_advertise(active, prefix, plan.best, /*origin=*/true, cache, plan);
+    plan_advertise(active, cache, plan);
     return plan;
   }
 
@@ -754,43 +799,22 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
   plan.has_best = true;
   plan.store = plan.changed;
   plan.best = *best;
-  plan_advertise(active, prefix, plan.best, /*origin=*/false, cache, plan);
+  plan_advertise(active, cache, plan);
   return plan;
 }
 
-void DbgpSpeaker::plan_advertise(DecisionModule* active, const net::Prefix& prefix,
-                                 const IaRoute& best, bool origin, ia::FrameCache& cache,
+void DbgpSpeaker::plan_advertise(DecisionModule* active, ia::FrameCache& cache,
                                  DecisionPlan& plan) const {
+  const net::Prefix& prefix = plan.prefix;
+  const ExportBase base = export_base(active, prefix, plan.best);
+  plan.emits.reserve(peers_.size());
   for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
     if (!peers_[peer].up) continue;
-    if (!origin && peer == best.from_peer) {
-      plan_withdraw(peer, prefix, plan);  // split horizon
+    ia::SharedFrame frame = export_frame(peer, base, cache);
+    if (frame == nullptr) {
+      plan_withdraw(peer, prefix, plan);
       continue;
     }
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_[peer].asn;
-    ectx.to_peer_in_same_island = peers_[peer].same_island;
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) {
-        plan_withdraw(peer, prefix, plan);
-        continue;
-      }
-    }
-    ia::SharedFrame frame = cache.get_or_encode(ia_out, config_.codec, [&] {
-      return encode_announce(ia_out, config_.codec);
-    });
     // Delta suppression against the pre-batch adj-out. Only this prefix's
     // own commit can touch adj_out_[peer][prefix], so the pre-batch value
     // is also the commit-time value and the decision is safe to make here.
@@ -833,12 +857,12 @@ void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out
       peer_metrics_[e.peer].adj_out_depth->set(
           static_cast<std::int64_t>(it->second.size()));
     } else {
-      adj_out_[e.peer][plan.prefix] = e.frame;
+      auto& table = adj_out_[e.peer];
+      table[plan.prefix] = e.frame;
       ++stats_.ias_sent;
       SpeakerMetrics::get().ias_sent->inc();
       peer_metrics_[e.peer].updates_out->inc();
-      peer_metrics_[e.peer].adj_out_depth->set(
-          static_cast<std::int64_t>(adj_out_[e.peer].size()));
+      peer_metrics_[e.peer].adj_out_depth->set(static_cast<std::int64_t>(table.size()));
     }
     stats_.bytes_sent += e.frame->size();
     SpeakerMetrics::get().bytes_sent->inc(e.frame->size());
@@ -847,43 +871,15 @@ void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out
 }
 
 void DbgpSpeaker::advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                                     const IaRoute& best, bool origin,
-                                     std::vector<DbgpOutgoing>& out) {
+                                     const IaRoute& best, std::vector<DbgpOutgoing>& out) {
+  const ExportBase base = export_base(active, prefix, best);
   for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
     if (!peers_[peer].up) continue;
-    if (!origin && peer == best.from_peer) {
-      // Split horizon.
+    if (ia::SharedFrame frame = export_frame(peer, base, frame_cache_)) {
+      emit(peer, prefix, std::move(frame), out);
+    } else {
       withdraw_from_peer(peer, prefix, out);
-      continue;
     }
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_[peer].asn;
-    ectx.to_peer_in_same_island = peers_[peer].same_island;
-
-    // Origins are rebuilt per peer: some protocols (e.g., BGPSec) bind their
-    // control information to the specific peer the IA is sent to.
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-
-    // Stage 7: global export filters (skip island handling toward peers in
-    // our own island — abstraction happens only at the true egress).
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) {
-        withdraw_from_peer(peer, prefix, out);
-        continue;
-      }
-    }
-    emit(peer, prefix, ia_out, out);
   }
 }
 
@@ -907,23 +903,18 @@ void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix
   out.push_back({peer, std::move(frame), span});
 }
 
-void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix,
-                       const ia::IntegratedAdvertisement& ia, std::vector<DbgpOutgoing>& out) {
+void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
+                       std::vector<DbgpOutgoing>& out) {
   if (!peers_.at(peer).up) return;  // nothing reaches (or is recorded for) a down peer
-  // Encode-once fan-out: identical per-peer advertisements (the common case
-  // — export rewrites are the exception) resolve to one shared frame.
-  ia::SharedFrame frame = frame_cache_.get_or_encode(ia, config_.codec, [&] {
-    return encode_announce(ia, config_.codec);
-  });
-  auto& sent = adj_out_[peer][prefix];
+  auto& table = adj_out_[peer];
+  auto& sent = table[prefix];
   // Delta suppression; same cache entry => pointer equality, no byte walk.
   if (sent != nullptr && (sent == frame || *sent == *frame)) return;
   sent = frame;
   ++stats_.ias_sent;
   SpeakerMetrics::get().ias_sent->inc();
   peer_metrics_[peer].updates_out->inc();
-  peer_metrics_[peer].adj_out_depth->set(
-      static_cast<std::int64_t>(adj_out_[peer].size()));
+  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(table.size()));
   telemetry::SpanId span = 0;
   if (causal_ != nullptr) {
     span = causal_->begin_span(
@@ -952,35 +943,18 @@ void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix,
 std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
   std::vector<DbgpOutgoing> out;
   if (!peers_.at(peer).up) return out;
-  DecisionModule* active = nullptr;
   for (const auto& [prefix, best] : selected_) {
+    // No split-horizon withdraw here: the route's own source is skipped.
     if (best.from_peer == peer) continue;
     // No decision runs here: a synced frame chains straight to whatever span
     // installed the route (its provenance), or to the session event itself.
     if (causal_ != nullptr) {
       emit_parent_ = best.via_span != 0 ? best.via_span : external_cause_;
     }
-    active = active_module(prefix);
-    ExportContext ectx;
-    ectx.own_as = config_.asn;
-    ectx.own_island = config_.island;
-    ectx.to_peer = peer;
-    ectx.to_peer_as = peers_.at(peer).asn;
-    ectx.to_peer_in_same_island = peers_.at(peer).same_island;
-    const bool origin = best.from_peer == bgp::kInvalidPeer;
-    ia::IntegratedAdvertisement ia_out =
-        origin ? factory_.create_origin(prefix, active, ectx)
-               : factory_.create_from_best(best, active, ectx);
-    if (!peers_[peer].same_island) {
-      FilterContext fctx;
-      fctx.own_as = config_.asn;
-      fctx.own_island = config_.island;
-      fctx.peer = peer;
-      fctx.peer_as = peers_[peer].asn;
-      fctx.ingress = false;
-      if (!export_filters_.apply(ia_out, fctx)) continue;
+    const ExportBase base = export_base(active_module(prefix), prefix, best);
+    if (ia::SharedFrame frame = export_frame(peer, base, frame_cache_)) {
+      emit(peer, prefix, std::move(frame), out);
     }
-    emit(peer, prefix, ia_out, out);
   }
   return out;
 }

@@ -139,8 +139,10 @@ class DbgpSpeaker {
   //
   // Module contract: better() / annotate_export() / annotate_origin() /
   // explain_better() run concurrently across shards and must not mutate
-  // module state; import_filter() and on_best_changed() remain sequential
-  // and may. Every in-tree module satisfies this.
+  // module state, except through atomics whose result does not depend on
+  // order (WiserModule's advertised-cost sums); import_filter() and
+  // on_best_changed() remain sequential and may. Every in-tree module
+  // satisfies this.
   void set_parallel(util::ThreadPool* pool, std::size_t shards = 0);
   std::size_t shard_count() const noexcept { return shards_; }
   // True when the next flush will take the parallel path.
@@ -291,13 +293,30 @@ class DbgpSpeaker {
   // Decision + dissemination for one prefix (stages 4-7).
   void run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out);
   void advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                          const IaRoute& best, bool origin,
-                          std::vector<DbgpOutgoing>& out);
+                          const IaRoute& best, std::vector<DbgpOutgoing>& out);
   void withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
                           std::vector<DbgpOutgoing>& out);
-  void emit(bgp::PeerId peer, const net::Prefix& prefix, const ia::IntegratedAdvertisement& ia,
+  void emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
             std::vector<DbgpOutgoing>& out);
   DecisionModule* active_module(const net::Prefix& prefix) const;
+
+  // The peer-invariant half of one decision's export (the factory base of
+  // stage 6), built once and shared by every peer the decision fans out to.
+  // `best` is the advertised route; from_peer == kInvalidPeer marks an
+  // origin.
+  struct ExportBase {
+    const IaRoute& best;
+    DecisionModule* active;
+    ia::IntegratedAdvertisement ia;
+  };
+  ExportBase export_base(DecisionModule* active, const net::Prefix& prefix,
+                         const IaRoute& best) const;
+  // The per-peer half (stages 5-7 plus the cache lookup), shared by the
+  // immediate, planned, and sync paths: the frame to send `peer`, or null
+  // when the peer must be withdrawn instead (split horizon, or an export
+  // filter dropped the IA). Peers in our own island skip the export filters.
+  ia::SharedFrame export_frame(bgp::PeerId peer, const ExportBase& base,
+                               ia::FrameCache& cache) const;
 
   // -- Parallel pipeline internals ------------------------------------------
   // A frame staged raw by enqueue_frame in deferred-decode mode; `ia` is
@@ -334,8 +353,7 @@ class DbgpSpeaker {
   // (sequential), building batch_ exactly as eager staging would have.
   void drain_staged();
   DecisionPlan plan_decision(const net::Prefix& prefix, ia::FrameCache& cache) const;
-  void plan_advertise(DecisionModule* active, const net::Prefix& prefix, const IaRoute& best,
-                      bool origin, ia::FrameCache& cache, DecisionPlan& plan) const;
+  void plan_advertise(DecisionModule* active, ia::FrameCache& cache, DecisionPlan& plan) const;
   void plan_withdraw(bgp::PeerId peer, const net::Prefix& prefix, DecisionPlan& plan) const;
   void commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out);
 

@@ -122,7 +122,10 @@ std::uint64_t FrameCache::content_hash(const IntegratedAdvertisement& ia,
 
 bool FrameCache::frame_equivalent(const Entry& entry, const IntegratedAdvertisement& ia,
                                   const CodecOptions& options) {
-  if (entry.options.compress != options.compress ||
+  // The destination first: the repeat check meets a different prefix at the
+  // start of every fan-out, and that mismatch should cost no tail compare.
+  if (!(entry.ia.destination == ia.destination) ||
+      entry.options.compress != options.compress ||
       entry.options.share_blobs != options.share_blobs) {
     return false;
   }
@@ -145,10 +148,18 @@ bool FrameCache::frame_equivalent(const Entry& entry, const IntegratedAdvertisem
 SharedFrame FrameCache::get_or_encode(const IntegratedAdvertisement& ia,
                                       const CodecOptions& options,
                                       const std::function<std::vector<std::uint8_t>()>& encode) {
+  // Repeat hit: the same frame as the previous lookup, found without hashing.
+  // Equivalence is checked exactly as on the hashed path, so the frame is
+  // the one an encode would produce.
+  if (last_.entry != nullptr && frame_equivalent(*last_.entry, ia, options)) {
+    CacheMetrics::get().hits->inc();
+    return last_.entry->frame;
+  }
   const std::uint64_t hash = content_hash(ia, options);
   auto it = entries_.find(hash);
   if (it != entries_.end() && frame_equivalent(it->second, ia, options)) {
     CacheMetrics::get().hits->inc();
+    last_.entry = &it->second;
     return it->second.frame;
   }
   CacheMetrics::get().misses->inc();
@@ -157,13 +168,16 @@ SharedFrame FrameCache::get_or_encode(const IntegratedAdvertisement& ia,
   if (it != entries_.end()) {
     // Hash collision with different content: newest advertisement wins.
     it->second = Entry{options, ia, frame};
+    last_.entry = &it->second;
     return frame;
   }
   while (entries_.size() >= capacity_ && !order_.empty()) {
-    entries_.erase(order_.front());
+    auto victim = entries_.find(order_.front());
+    if (&victim->second == last_.entry) last_.entry = nullptr;
+    entries_.erase(victim);
     order_.pop_front();
   }
-  entries_.emplace(hash, Entry{options, ia, frame});
+  last_.entry = &entries_.emplace(hash, Entry{options, ia, frame}).first->second;
   order_.push_back(hash);
   return frame;
 }
@@ -171,6 +185,7 @@ SharedFrame FrameCache::get_or_encode(const IntegratedAdvertisement& ia,
 void FrameCache::clear() {
   entries_.clear();
   order_.clear();
+  last_.entry = nullptr;
 }
 
 }  // namespace dbgp::ia

@@ -11,6 +11,10 @@
 // Misses from export-policy divergence are handled structurally: a rewritten
 // IA hashes (and compares) differently, so it gets its own entry; stale
 // entries age out of the bounded FIFO.
+//
+// A fan-out asks for the same frame N times in a row, so the entry returned
+// last is checked for equality before anything is hashed: every repeat after
+// a decision's first peer costs one equality check, not a content hash.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +60,26 @@ class FrameCache {
     SharedFrame frame;
   };
 
+  // The entry returned last, or null. It points into this cache's own map,
+  // so a copied or moved cache starts (and a moved-from one is left)
+  // without one; clear() and eviction of the entry reset it too.
+  struct LastEntry {
+    const Entry* entry = nullptr;
+
+    LastEntry() = default;
+    LastEntry(const LastEntry&) noexcept {}
+    LastEntry(LastEntry&& other) noexcept { other.entry = nullptr; }
+    LastEntry& operator=(const LastEntry&) noexcept {
+      entry = nullptr;
+      return *this;
+    }
+    LastEntry& operator=(LastEntry&& other) noexcept {
+      entry = nullptr;
+      other.entry = nullptr;
+      return *this;
+    }
+  };
+
   static std::uint64_t content_hash(const IntegratedAdvertisement& ia,
                                     const CodecOptions& options);
   static bool frame_equivalent(const Entry& entry, const IntegratedAdvertisement& ia,
@@ -64,6 +88,7 @@ class FrameCache {
   std::size_t capacity_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::deque<std::uint64_t> order_;  // insertion order for FIFO eviction
+  LastEntry last_;
 };
 
 }  // namespace dbgp::ia

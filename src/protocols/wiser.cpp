@@ -153,15 +153,16 @@ void WiserModule::annotate_export(const core::IaRoute& best, ia::IntegratedAdver
   out.add_island_descriptor(config_.island, ia::kProtoWiser, ia::keys::kWiserPortalAddr,
                             encode_wiser_portal(config_.portal_addr));
   if (!ctx.to_peer_in_same_island) {
-    advertised_sum_ += total;
-    ++advertised_count_;
+    advertised_sum_.fetch_add(total, std::memory_order_relaxed);
+    advertised_count_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void WiserModule::exchange_costs(ia::IslandId remote_island) {
   if (exchange_ == nullptr) return;
-  exchange_->report_advertised(config_.island, remote_island, advertised_sum_,
-                               advertised_count_);
+  exchange_->report_advertised(config_.island, remote_island,
+                               advertised_sum_.load(std::memory_order_relaxed),
+                               advertised_count_.load(std::memory_order_relaxed));
 }
 
 void WiserModule::annotate_origin(ia::IntegratedAdvertisement& out,

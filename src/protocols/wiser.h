@@ -16,6 +16,7 @@
 //     through the portal (here: a LookupService).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -106,8 +107,10 @@ class WiserModule : public core::DecisionModule {
  private:
   Config config_;
   WiserCostExchange* exchange_;
-  std::uint64_t advertised_sum_ = 0;
-  std::uint64_t advertised_count_ = 0;
+  // Bumped by annotate_export, which a sharded flush runs on several pool
+  // threads at once; the sums do not depend on the order of the adds.
+  std::atomic<std::uint64_t> advertised_sum_ = 0;
+  std::atomic<std::uint64_t> advertised_count_ = 0;
 };
 
 }  // namespace dbgp::protocols

@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/speaker.h"
+#include "ia/codec.h"
 #include "ia/frame_cache.h"
 #include "protocols/bgp_module.h"
 #include "simnet/chaos.h"
@@ -437,6 +439,263 @@ TEST(ShardPipelineNetwork, SetSpeakerThreadsRejectedMidBatch) {
   EXPECT_EQ(net.speaker(3).best(prefix), nullptr);
   EXPECT_NO_THROW(net.set_speaker_threads(1));
   EXPECT_EQ(net.speaker_threads(), 1u);
+}
+
+// -- Frame cache: the remembered last entry ----------------------------------
+//
+// FrameCache checks the entry it returned last before hashing. These tests
+// drive that pointer through every event that can invalidate it (eviction,
+// clear, copy, move, collision replacement); under dbgp_asan_check a stale
+// pointer is a heap-use-after-free, and every frame must still equal a fresh
+// encode byte for byte.
+
+ia::IntegratedAdvertisement cache_ia(std::uint32_t i, std::vector<std::uint8_t> payload = {}) {
+  ia::IntegratedAdvertisement ia;
+  ia.destination = nth_prefix(i);
+  ia.path_vector.prepend_as(900 + i);
+  ia.baseline.next_hop = net::Ipv4Address(900 + i);
+  ia.baseline.as_path = ia.path_vector.to_bgp_as_path();
+  if (!payload.empty()) ia.set_path_descriptor(232, 1, std::move(payload));
+  return ia;
+}
+
+// Looks `ia` up and checks the frame against a fresh encode; counts encodes.
+struct CacheProbe {
+  ia::FrameCache& cache;
+  int encodes = 0;
+
+  ia::SharedFrame get(const ia::IntegratedAdvertisement& ia) {
+    ia::SharedFrame frame = cache.get_or_encode(ia, {}, [&] {
+      ++encodes;
+      return core::DbgpSpeaker::encode_announce(ia, {});
+    });
+    EXPECT_EQ(*frame, core::DbgpSpeaker::encode_announce(ia, {}))
+        << ia.destination.to_string();
+    return frame;
+  }
+};
+
+TEST(FrameCacheLastEntry, CapacityOneEvictsTheRememberedEntry) {
+  ia::FrameCache cache(1);
+  CacheProbe probe{cache};
+  const auto a = cache_ia(1);
+  const auto b = cache_ia(2);
+  probe.get(a);
+  probe.get(a);  // repeat hit
+  EXPECT_EQ(probe.encodes, 1);
+  probe.get(b);  // evicts a, the remembered entry
+  probe.get(a);  // evicts b, the remembered entry
+  probe.get(a);
+  EXPECT_EQ(probe.encodes, 3);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FrameCacheLastEntry, CapacityTwoEvictsTheRememberedEntry) {
+  ia::FrameCache cache(2);
+  CacheProbe probe{cache};
+  const auto a = cache_ia(1);
+  const auto b = cache_ia(2);
+  const auto c = cache_ia(3);
+  probe.get(a);
+  probe.get(b);
+  probe.get(a);  // hashed hit: a is remembered and first in FIFO order
+  EXPECT_EQ(probe.encodes, 2);
+  probe.get(c);  // evicts a
+  probe.get(a);  // a is gone: re-encoded, evicting b
+  probe.get(c);
+  probe.get(a);
+  EXPECT_EQ(probe.encodes, 4);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(FrameCacheLastEntry, ClearForgetsTheRememberedEntry) {
+  ia::FrameCache cache;
+  CacheProbe probe{cache};
+  const auto a = cache_ia(1);
+  probe.get(a);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  probe.get(a);
+  probe.get(a);
+  EXPECT_EQ(probe.encodes, 2);
+}
+
+TEST(FrameCacheLastEntry, CopiesNeverPointIntoTheSource) {
+  const auto a = cache_ia(1);
+  const auto b = cache_ia(2);
+  std::vector<ia::FrameCache> copies;
+  {
+    auto source = std::make_unique<ia::FrameCache>();
+    CacheProbe warm{*source};
+    warm.get(a);
+    warm.get(b);  // b is remembered
+    copies.assign(3, *source);  // as DbgpSpeaker::set_parallel fills its shards
+  }  // the source and its map are gone
+  for (ia::FrameCache& copy : copies) {
+    CacheProbe probe{copy};
+    probe.get(b);
+    probe.get(a);
+    EXPECT_EQ(probe.encodes, 0);  // the copied map still holds both
+  }
+
+  ia::FrameCache moved = std::move(copies[0]);
+  CacheProbe from_moved{moved};
+  from_moved.get(a);
+  copies[0].clear();  // the moved-from cache stays usable
+  CacheProbe from_source{copies[0]};
+  from_source.get(a);
+  EXPECT_EQ(from_source.encodes, 1);
+}
+
+TEST(FrameCacheLastEntry, HashCollisionReplacesTheRememberedEntry) {
+  // Descriptor payloads are hashed by sampling, so two payloads that differ
+  // only at an unsampled byte collide: same hash, different frames.
+  std::vector<std::uint8_t> payload(1000, 0x5a);
+  auto other = payload;
+  other[1] ^= 0xff;
+  const auto a = cache_ia(1, payload);
+  const auto b = cache_ia(1, other);
+  ASSERT_FALSE(a == b);
+
+  ia::FrameCache cache;
+  CacheProbe probe{cache};
+  const auto frame_a = probe.get(a);
+  const auto frame_b = probe.get(b);  // collides with a and replaces it
+  EXPECT_EQ(probe.encodes, 2);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(*frame_a, *frame_b);
+  EXPECT_EQ(probe.get(b).get(), frame_b.get());  // repeat hit on the replacement
+  probe.get(a);                                  // replaces b in turn
+  EXPECT_EQ(probe.encodes, 3);
+}
+
+// -- Peer-bound export annotation --------------------------------------------
+//
+// A decision builds one export base and each peer annotates its own copy.
+// This module stamps every outgoing IA with the AS it is sent to, under a key
+// of that AS, so a stamp written into the shared base would show up as a
+// second stamp in later peers' frames.
+
+constexpr ia::ProtocolId kStampProtocol = 232;
+constexpr ia::ProtocolId kEgressMarkProtocol = 233;
+
+class PeerStampModule : public protocols::BgpModule {
+ public:
+  void annotate_export(const core::IaRoute& best, ia::IntegratedAdvertisement& out,
+                       const core::ExportContext& ctx) override {
+    (void)best;
+    out.set_path_descriptor(kStampProtocol, static_cast<std::uint16_t>(ctx.to_peer_as),
+                            {static_cast<std::uint8_t>(ctx.to_peer_as)});
+  }
+};
+
+constexpr std::uint32_t kStampedPrefixes = 8;
+constexpr bgp::AsNumber kIslandPeerAs = 7;
+
+// AS 1 hears AS 900 and exports to ASes 2-6 plus AS 7 in its own island.
+// The export chain marks every IA, except toward AS 7, which skips it.
+core::DbgpSpeaker make_stamping_speaker() {
+  core::DbgpSpeaker rx(bgp_as(1, /*max_batch=*/0));
+  rx.add_module(std::make_unique<PeerStampModule>());
+  rx.add_peer(900);
+  for (bgp::AsNumber as = 2; as <= 6; ++as) rx.add_peer(as);
+  rx.add_peer(kIslandPeerAs, /*same_island=*/true);
+  rx.export_filters().add("egress-mark",
+                          [](ia::IntegratedAdvertisement& ia, const core::FilterContext&) {
+                            ia.set_path_descriptor(kEgressMarkProtocol, 0, {1});
+                            return true;
+                          });
+  return rx;
+}
+
+std::vector<std::vector<std::uint8_t>> stamped_stream() {
+  core::DbgpSpeaker sender(bgp_as(900));
+  sender.add_module(std::make_unique<protocols::BgpModule>());
+  sender.add_peer(1);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint32_t i = 0; i < kStampedPrefixes; ++i) {
+    frames.push_back(sender.originate(nth_prefix(i)).at(0).bytes());
+  }
+  return frames;
+}
+
+// Checks every announce in `out`: exactly one stamp, the receiving peer's,
+// and bytes equal to create_from_best for that peer plus the export chain.
+// Returns the number of frames checked.
+std::size_t check_stamped(const core::DbgpSpeaker& rx,
+                          const std::vector<core::DbgpOutgoing>& out) {
+  PeerStampModule reference_module;
+  const core::IaFactory factory(core::IaFactory::Params{
+      rx.config().asn, rx.config().island, rx.config().next_hop, /*prepend_own_as=*/true});
+  std::size_t checked = 0;
+  for (const auto& frame : out) {
+    const bgp::AsNumber to_as = rx.peer_as(frame.peer);
+    EXPECT_NE(to_as, 900u) << "split horizon";
+    const auto ia = ia::decode_ia(std::span(frame.frame->begin() + 1, frame.frame->end()));
+    std::size_t stamps = 0;
+    for (const auto& d : ia.path_descriptors()) {
+      if (d.protocol != kStampProtocol) continue;
+      ++stamps;
+      EXPECT_EQ(d.key, to_as) << "AS" << to_as;
+    }
+    EXPECT_EQ(stamps, 1u) << "AS" << to_as << " " << ia.destination.to_string();
+    const bool island = to_as == kIslandPeerAs;
+    EXPECT_EQ(ia.find_path_descriptor(kEgressMarkProtocol, 0) == nullptr, island)
+        << "AS" << to_as;
+
+    const core::IaRoute* best = rx.best(ia.destination);
+    if (best == nullptr) {
+      ADD_FAILURE() << "no route for " << ia.destination.to_string();
+      continue;
+    }
+    core::ExportContext ctx;
+    ctx.own_as = rx.config().asn;
+    ctx.own_island = rx.config().island;
+    ctx.to_peer = frame.peer;
+    ctx.to_peer_as = to_as;
+    ctx.to_peer_in_same_island = island;
+    auto reference = factory.create_from_best(*best, &reference_module, ctx);
+    if (!island) reference.set_path_descriptor(kEgressMarkProtocol, 0, {1});
+    EXPECT_EQ(frame.bytes(), core::DbgpSpeaker::encode_announce(reference, rx.config().codec))
+        << "AS" << to_as << " " << ia.destination.to_string();
+    ++checked;
+  }
+  return checked;
+}
+
+constexpr std::size_t kStampedFrames = kStampedPrefixes * 6;  // 6 peers past split horizon
+
+TEST(PeerBoundExport, ImmediatePathStampsEachPeerOnce) {
+  core::DbgpSpeaker rx = make_stamping_speaker();
+  std::vector<core::DbgpOutgoing> out;
+  for (const auto& bytes : stamped_stream()) {
+    for (auto& frame : rx.handle_frame(0, bytes)) out.push_back(std::move(frame));
+  }
+  EXPECT_EQ(check_stamped(rx, out), kStampedFrames);
+}
+
+TEST(PeerBoundExport, BatchedPathStampsEachPeerOnceAtAnyThreadCount) {
+  for (const std::size_t threads : {1ul, 4ul}) {
+    util::ThreadPool pool(threads);
+    core::DbgpSpeaker rx = make_stamping_speaker();
+    rx.set_parallel(&pool);
+    EXPECT_EQ(rx.parallel_active(), threads > 1);
+    for (const auto& bytes : stamped_stream()) {
+      EXPECT_TRUE(rx.enqueue_frame(0, ia::make_shared_frame(bytes)).empty());
+    }
+    EXPECT_EQ(check_stamped(rx, rx.flush()), kStampedFrames) << threads << " threads";
+  }
+}
+
+TEST(PeerBoundExport, SessionSyncStampsEachPeerOnce) {
+  core::DbgpSpeaker rx = make_stamping_speaker();
+  for (const auto& bytes : stamped_stream()) rx.handle_frame(0, bytes);
+  for (bgp::PeerId peer = 1; peer < rx.peer_count(); ++peer) {
+    EXPECT_TRUE(rx.peer_down(peer).empty());
+    const auto synced = rx.peer_up(peer);
+    for (const auto& frame : synced) EXPECT_EQ(frame.peer, peer);
+    EXPECT_EQ(check_stamped(rx, synced), kStampedPrefixes) << "peer " << peer;
+  }
 }
 
 }  // namespace
