@@ -154,18 +154,15 @@ std::size_t DbgpSpeaker::shard_of(const net::Prefix& prefix, std::size_t shards)
   return shards <= 1 ? 0 : net::PrefixHash{}(prefix) % shards;
 }
 
-bool DbgpSpeaker::parallel_enabled() const noexcept {
-  return pool_ != nullptr && pool_->size() > 1 && shards_ > 1 && causal_ == nullptr &&
-         config_.dissemination == Dissemination::kInBand;
+bool DbgpSpeaker::parallel_active() const noexcept {
+  return pool_ != nullptr && pool_->size() > 1 && shards_ > 1;
 }
-
-bool DbgpSpeaker::parallel_active() const noexcept { return parallel_enabled(); }
 
 bool DbgpSpeaker::defer_decode() const noexcept {
   // Deferred decode changes *when* staging runs, so it is confined to
   // explicit-flush configurations: with auto-flush (max_batch > 0) the
   // trigger counts staged prefixes, which requires staging at enqueue time.
-  return parallel_enabled() && config_.max_batch == 0;
+  return parallel_active() && config_.max_batch == 0;
 }
 
 void DbgpSpeaker::drain_staged() {
@@ -261,7 +258,9 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_frame(bgp::PeerId from,
   drain_staged();  // deferred frames arrived first; stage them first
   std::vector<DbgpOutgoing> out;
   out.reserve(peers_.size());
-  if (auto prefix = stage_frame(from, bytes, cause)) run_decision(*prefix, out);
+  if (auto prefix = stage_frame(from, bytes, cause)) {
+    commit_plan(plan_decision(*prefix, frame_cache_), out);
+  }
   return out;
 }
 
@@ -271,7 +270,9 @@ std::vector<DbgpOutgoing> DbgpSpeaker::handle_ia(bgp::PeerId from,
   drain_staged();
   std::vector<DbgpOutgoing> out;
   out.reserve(peers_.size());
-  if (auto prefix = stage_ia(from, std::move(ia), cause)) run_decision(*prefix, out);
+  if (auto prefix = stage_ia(from, std::move(ia), cause)) {
+    commit_plan(plan_decision(*prefix, frame_cache_), out);
+  }
   return out;
 }
 
@@ -309,12 +310,12 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
   drain_staged();
   if (batch_.empty()) return;
   SpeakerMetrics::get().batch_size->record(static_cast<double>(batch_.size()));
-  if (parallel_enabled()) {
+  if (parallel_active()) {
     ShardMetrics::get().flushes->inc();
-    // Stage 2a: per-shard decision planning. Each shard owns a slice of the
+    // Stage 2: per-shard decision planning. Each shard owns a slice of the
     // batch; plans read only the frozen pre-batch state (IA DB, Loc-RIB,
-    // adj-out) plus their shard-private FrameCache, so no two tasks touch
-    // the same mutable data.
+    // origination) plus their shard-private FrameCache, so no two tasks
+    // touch the same mutable data.
     std::vector<std::vector<std::size_t>> shard_work(shards_);
     for (std::size_t i = 0; i < batch_.size(); ++i) {
       shard_work[shard_of(batch_[i], shards_)].push_back(i);
@@ -336,11 +337,11 @@ void DbgpSpeaker::flush_into(std::vector<DbgpOutgoing>& out) {
     // place shared state mutates, which is what makes the thread and shard
     // counts unobservable in the output.
     telemetry::ScopedTimer commit_timer(ShardMetrics::get().commit_wall_s);
-    for (DecisionPlan& plan : plans) commit_plan(plan, out);
+    for (DecisionPlan& plan : plans) commit_plan(std::move(plan), out);
   } else {
     // First-touch order: decisions run in the order prefixes first appeared,
     // so a batched run remains deterministic for a given arrival sequence.
-    for (const auto& prefix : batch_) run_decision(prefix, out);
+    for (const auto& prefix : batch_) commit_plan(plan_decision(prefix, frame_cache_), out);
   }
   batch_.clear();
   batch_seen_.clear();
@@ -472,7 +473,9 @@ std::vector<DbgpOutgoing> DbgpSpeaker::peer_down(bgp::PeerId peer, telemetry::Sp
   peer_metrics_[peer].flaps->inc();
   peer_metrics_[peer].adj_out_depth->set(0);
   external_cause_ = cause;
-  for (const auto& prefix : ia_db_.remove_peer(peer)) run_decision(prefix, out);
+  for (const auto& prefix : ia_db_.remove_peer(peer)) {
+    commit_plan(plan_decision(prefix, frame_cache_), out);
+  }
   external_cause_ = 0;
   return out;
 }
@@ -518,7 +521,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::originate(const net::Prefix& prefix,
     origin_span_[prefix] = root;
     pending_cause_[prefix] = root;
   }
-  run_decision(prefix, out);
+  commit_plan(plan_decision(prefix, frame_cache_), out);
   return out;
 }
 
@@ -537,23 +540,138 @@ std::vector<DbgpOutgoing> DbgpSpeaker::withdraw_origin(const net::Prefix& prefix
                            config_.asn, 0, "withdraw-origin", prefix.to_string());
       if (it != origin_span_.end()) origin_span_.erase(it);
     }
-    run_decision(prefix, out);
+    commit_plan(plan_decision(prefix, frame_cache_), out);
   }
   return out;
 }
 
-// -- Decision ------------------------------------------------------------------
+// -- Decision (stages 4-7) -----------------------------------------------------
+//
+// Every decision is a plan and a commit. plan_decision is the one best-path
+// selection: it only reads speaker state and writes the plan plus the
+// FrameCache it is handed, so the sharded flush runs it on pool threads.
+// commit_plan is the one place a decision mutates anything, and it always
+// runs on the calling thread in first-touch order.
 
-void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out) {
-  DecisionModule* active = active_module(prefix);
+DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
+                                                     ia::FrameCache& cache) const {
+  DecisionPlan plan;
+  plan.prefix = prefix;
+  plan.active = active_module(prefix);
+  DecisionModule* active = plan.active;
+  const bool tracing = causal_ != nullptr;
+  const auto current = selected_.find(prefix);
+  if (tracing && current != selected_.end()) {
+    plan.audit.prev_path = current->second.ia.path_vector.to_string();
+  }
+  const auto* candidates = ia_db_.candidate_map(prefix);
+
+  const IaRoute* winner = nullptr;
+  if (originated_.count(prefix) > 0) {
+    // Locally originated prefixes always win.
+    ExportContext octx;
+    octx.own_as = config_.asn;
+    octx.own_island = config_.island;
+    IaRoute& origin = plan.origin.emplace();
+    origin.ia = factory_.create_origin(prefix, active, octx);
+    origin.from_peer = bgp::kInvalidPeer;
+    if (auto it = origin_span_.find(prefix); it != origin_span_.end()) {
+      origin.via_span = it->second;
+    }
+    plan.changed = current == selected_.end() || !(current->second.ia == origin.ia) ||
+                   current->second.from_peer != bgp::kInvalidPeer;
+    if (tracing && candidates != nullptr) {
+      for (const auto& [peer, c] : *candidates) {
+        plan.audit.candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
+                                         c.via_span, c.eligible, "origin-overrides"});
+      }
+    }
+    winner = &origin;
+  } else {
+    const IaRoute* best = nullptr;
+    bool fallback = false;
+    if (candidates != nullptr) {
+      if (active != nullptr) {
+        for (const auto& [peer, c] : *candidates) {
+          if (!c.eligible) continue;
+          if (best == nullptr || active->better(c, *best)) best = &c;
+        }
+      }
+      if (best == nullptr && !candidates->empty()) {
+        // Baseline fallback: no module or no eligible candidates — preserve
+        // connectivity by shortest path vector, then arrival order.
+        fallback = true;
+        for (const auto& [peer, c] : *candidates) {
+          if (best == nullptr ||
+              c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
+              (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
+               c.sequence < best->sequence)) {
+            best = &c;
+          }
+        }
+      }
+    }
+
+    if (tracing && candidates != nullptr) {
+      int i = 0;
+      for (const auto& [peer, c] : *candidates) {
+        telemetry::AuditCandidate ac{c.neighbor_as, c.ia.path_vector.to_string(), c.via_span,
+                                     c.eligible, {}};
+        if (&c == best) {
+          ac.outcome = "selected";
+          plan.audit.selected = i;
+        } else if (!c.eligible && active != nullptr) {
+          ac.outcome = "ineligible:" + active->name();
+        } else if (best == nullptr) {
+          ac.outcome = "unreachable";
+        } else if (!fallback) {
+          ac.outcome = "lost:" + active->explain_better(*best, c);
+        } else {
+          ac.outcome = best->ia.path_vector.hop_count() != c.ia.path_vector.hop_count()
+                           ? "lost:path-length"
+                           : "lost:arrival-order";
+        }
+        plan.audit.candidates.push_back(std::move(ac));
+        ++i;
+      }
+    }
+
+    if (best == nullptr) {
+      // Unreachable: a selected route is withdrawn from every peer.
+      plan.changed = current != selected_.end();
+      if (plan.changed) {
+        plan.emits.reserve(peers_.size());
+        for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
+          plan.emits.push_back({peer, nullptr});
+        }
+      }
+      return plan;
+    }
+    plan.learned = best;
+    plan.changed = current == selected_.end() || current->second.from_peer != best->from_peer ||
+                   !(current->second.ia == best->ia);
+    winner = best;
+  }
+
+  // Even an unchanged winner is re-exported: emit's delta suppression makes
+  // that a no-op when nothing differs.
+  const ExportBase base = export_base(active, prefix, *winner);
+  plan.emits.reserve(peers_.size());
+  for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
+    if (peers_[peer].up) plan.emits.push_back({peer, export_frame(peer, base, cache)});
+  }
+  return plan;
+}
+
+void DbgpSpeaker::commit_plan(DecisionPlan&& plan, std::vector<DbgpOutgoing>& out) {
+  const net::Prefix& prefix = plan.prefix;
 
   // Open the decision span, parented to the staged update that triggered
-  // this run (or to the external cause: a chaos event, a protocol switch).
-  const bool tracing = causal_ != nullptr;
+  // this decision (or to the external cause: a chaos event, a protocol
+  // switch).
   telemetry::SpanId dspan = 0;
-  telemetry::DecisionAudit audit;
   double t = 0.0;
-  if (tracing) {
+  if (causal_ != nullptr) {
     t = trace_now();
     telemetry::SpanId parent = external_cause_;
     if (auto it = pending_cause_.find(prefix); it != pending_cause_.end()) {
@@ -562,129 +680,45 @@ void DbgpSpeaker::run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoi
     }
     dspan = causal_->begin_span(telemetry::SpanKind::kDecision, parent, t, config_.asn, 0,
                                 "decision", prefix.to_string());
+  }
+
+  // The Loc-RIB write: an origin always overwrites; a learned winner is
+  // copied only when it changed, so an unchanged entry keeps its via_span.
+  const IaRoute* installed = nullptr;
+  if (plan.origin) {
+    installed = &selected_.insert_or_assign(prefix, std::move(*plan.origin)).first->second;
+  } else if (plan.learned != nullptr) {
+    installed = plan.changed ? &selected_.insert_or_assign(prefix, *plan.learned).first->second
+                             : &selected_.find(prefix)->second;
+  } else {
+    selected_.erase(prefix);
+  }
+  if (plan.changed && plan.active != nullptr) plan.active->on_best_changed(prefix, installed);
+
+  if (causal_ != nullptr) {
+    telemetry::DecisionAudit& audit = plan.audit;
     audit.span = dspan;
     audit.time = t;
     audit.as = config_.asn;
     audit.prefix = prefix.to_string();
-    if (auto it = selected_.find(prefix); it != selected_.end()) {
-      audit.prev_path = it->second.ia.path_vector.to_string();
-    }
-  }
-  const auto finish = [&](const IaRoute* result, bool origin, bool changed) {
-    if (!tracing) return;
-    audit.origin = origin;
-    audit.changed = changed;
-    if (result != nullptr) {
-      audit.best_path = result->ia.path_vector.to_string();
-      audit.best_via = result->via_span;
+    audit.origin = plan.origin.has_value();
+    audit.changed = plan.changed;
+    if (installed != nullptr) {
+      audit.best_path = installed->ia.path_vector.to_string();
+      audit.best_via = installed->via_span;
     }
     causal_->record_audit(std::move(audit));
     causal_->end_span(dspan, t);
-    emit_parent_ = dspan;  // frames below chain to this decision
-  };
-
-  if (originated_.count(prefix) > 0) {
-    // Locally originated prefixes always win.
-    ExportContext octx;
-    octx.own_as = config_.asn;
-    octx.own_island = config_.island;
-    IaRoute origin;
-    origin.ia = factory_.create_origin(prefix, active, octx);
-    origin.from_peer = bgp::kInvalidPeer;
-    if (auto it = origin_span_.find(prefix); it != origin_span_.end()) {
-      origin.via_span = it->second;
-    }
-    auto [slot, inserted] = selected_.try_emplace(prefix);
-    const bool changed = inserted || !(slot->second.ia == origin.ia) ||
-                         slot->second.from_peer != bgp::kInvalidPeer;
-    slot->second = std::move(origin);
-    if (changed && active != nullptr) active->on_best_changed(prefix, &slot->second);
-    if (tracing) {
-      if (const auto* cands = ia_db_.candidate_map(prefix)) {
-        for (const auto& [peer, c] : *cands) {
-          audit.candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
-                                      c.via_span, c.eligible, "origin-overrides"});
-        }
-      }
-      finish(&slot->second, /*origin=*/true, changed);
-    }
-    advertise_to_peers(active, prefix, slot->second, out);
-    return;
+    emit_parent_ = dspan;  // the frames below chain to this decision
   }
 
-  const auto* candidates = ia_db_.candidate_map(prefix);
-  const IaRoute* best = nullptr;
-  bool fallback = false;
-  if (candidates != nullptr) {
-    if (active != nullptr) {
-      for (const auto& [peer, c] : *candidates) {
-        if (!c.eligible) continue;
-        if (best == nullptr || active->better(c, *best)) best = &c;
-      }
-    }
-    if (best == nullptr && !candidates->empty()) {
-      // Baseline fallback: no module or no eligible candidates — preserve
-      // connectivity by shortest path vector, then arrival order.
-      fallback = true;
-      for (const auto& [peer, c] : *candidates) {
-        if (best == nullptr ||
-            c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
-            (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
-             c.sequence < best->sequence)) {
-          best = &c;
-        }
-      }
+  for (PlannedEmit& e : plan.emits) {
+    if (e.frame != nullptr) {
+      emit(e.peer, prefix, std::move(e.frame), out);
+    } else {
+      withdraw_from_peer(e.peer, prefix, out);
     }
   }
-
-  if (tracing && candidates != nullptr) {
-    int i = 0;
-    for (const auto& [peer, cref] : *candidates) {
-      const IaRoute* c = &cref;
-      telemetry::AuditCandidate ac{c->neighbor_as, c->ia.path_vector.to_string(),
-                                   c->via_span, c->eligible, {}};
-      if (c == best) {
-        ac.outcome = "selected";
-        audit.selected = i;
-      } else if (!c->eligible && active != nullptr) {
-        ac.outcome = "ineligible:" + active->name();
-      } else if (best == nullptr) {
-        ac.outcome = "unreachable";
-      } else if (!fallback) {
-        ac.outcome = "lost:" + active->explain_better(*best, *c);
-      } else {
-        ac.outcome = best->ia.path_vector.hop_count() != c->ia.path_vector.hop_count()
-                         ? "lost:path-length"
-                         : "lost:arrival-order";
-      }
-      audit.candidates.push_back(std::move(ac));
-      ++i;
-    }
-  }
-
-  if (best == nullptr) {
-    const bool had_route = selected_.count(prefix) > 0;
-    finish(nullptr, /*origin=*/false, had_route);
-    if (selected_.erase(prefix) > 0) {
-      if (active != nullptr) active->on_best_changed(prefix, nullptr);
-      for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-        withdraw_from_peer(peer, prefix, out);
-      }
-    }
-    return;
-  }
-
-  auto [slot, inserted] = selected_.try_emplace(prefix);
-  const bool changed = inserted || slot->second.from_peer != best->from_peer ||
-                       !(slot->second.ia == best->ia);
-  if (changed) {
-    slot->second = *best;
-    if (active != nullptr) active->on_best_changed(prefix, &slot->second);
-  }
-  finish(&slot->second, /*origin=*/false, changed);
-  // Even when the selection is unchanged we re-advertise through delta
-  // suppression, which is a no-op if nothing differs.
-  advertise_to_peers(active, prefix, slot->second, out);
 }
 
 // -- Export (stages 5-7) -------------------------------------------------------
@@ -728,159 +762,6 @@ ia::SharedFrame DbgpSpeaker::export_frame(bgp::PeerId peer, const ExportBase& ba
   // — export rewrites are the exception) resolve to one shared frame.
   return cache.get_or_encode(ia_out, config_.codec,
                              [&] { return encode_announce(ia_out, config_.codec); });
-}
-
-// -- Parallel decision planning ----------------------------------------------
-//
-// plan_decision mirrors run_decision with tracing off, split into a pure
-// planning half (runs concurrently, reads the frozen pre-batch state, writes
-// only the plan and its shard's FrameCache) and commit_plan (runs
-// sequentially in first-touch order, performs every mutation run_decision
-// would have, in the same order). Keep the three in lockstep when changing
-// decision semantics — shard_pipeline_test pins their bit-identity.
-
-DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
-                                                     ia::FrameCache& cache) const {
-  DecisionPlan plan;
-  plan.prefix = prefix;
-  DecisionModule* active = active_module(prefix);
-
-  if (originated_.count(prefix) > 0) {
-    ExportContext octx;
-    octx.own_as = config_.asn;
-    octx.own_island = config_.island;
-    IaRoute origin;
-    origin.ia = factory_.create_origin(prefix, active, octx);
-    origin.from_peer = bgp::kInvalidPeer;
-    auto it = selected_.find(prefix);
-    plan.changed = it == selected_.end() || !(it->second.ia == origin.ia) ||
-                   it->second.from_peer != bgp::kInvalidPeer;
-    plan.has_best = true;
-    plan.store = true;  // the sequential path overwrites even when unchanged
-    plan.best = std::move(origin);
-    plan_advertise(active, cache, plan);
-    return plan;
-  }
-
-  const auto* candidates = ia_db_.candidate_map(prefix);
-  const IaRoute* best = nullptr;
-  if (candidates != nullptr) {
-    if (active != nullptr) {
-      for (const auto& [peer, c] : *candidates) {
-        if (!c.eligible) continue;
-        if (best == nullptr || active->better(c, *best)) best = &c;
-      }
-    }
-    if (best == nullptr && !candidates->empty()) {
-      for (const auto& [peer, c] : *candidates) {
-        if (best == nullptr ||
-            c.ia.path_vector.hop_count() < best->ia.path_vector.hop_count() ||
-            (c.ia.path_vector.hop_count() == best->ia.path_vector.hop_count() &&
-             c.sequence < best->sequence)) {
-          best = &c;
-        }
-      }
-    }
-  }
-
-  if (best == nullptr) {
-    plan.has_best = false;
-    if (selected_.count(prefix) > 0) {
-      for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-        plan_withdraw(peer, prefix, plan);
-      }
-    }
-    return plan;
-  }
-
-  auto it = selected_.find(prefix);
-  plan.changed = it == selected_.end() || it->second.from_peer != best->from_peer ||
-                 !(it->second.ia == best->ia);
-  plan.has_best = true;
-  plan.store = plan.changed;
-  plan.best = *best;
-  plan_advertise(active, cache, plan);
-  return plan;
-}
-
-void DbgpSpeaker::plan_advertise(DecisionModule* active, ia::FrameCache& cache,
-                                 DecisionPlan& plan) const {
-  const net::Prefix& prefix = plan.prefix;
-  const ExportBase base = export_base(active, prefix, plan.best);
-  plan.emits.reserve(peers_.size());
-  for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-    if (!peers_[peer].up) continue;
-    ia::SharedFrame frame = export_frame(peer, base, cache);
-    if (frame == nullptr) {
-      plan_withdraw(peer, prefix, plan);
-      continue;
-    }
-    // Delta suppression against the pre-batch adj-out. Only this prefix's
-    // own commit can touch adj_out_[peer][prefix], so the pre-batch value
-    // is also the commit-time value and the decision is safe to make here.
-    if (auto pit = adj_out_.find(peer); pit != adj_out_.end()) {
-      if (auto sit = pit->second.find(prefix); sit != pit->second.end()) {
-        const ia::SharedFrame& sent = sit->second;
-        if (sent != nullptr && (sent == frame || *sent == *frame)) continue;
-      }
-    }
-    plan.emits.push_back({peer, std::move(frame), /*withdraw=*/false});
-  }
-}
-
-void DbgpSpeaker::plan_withdraw(bgp::PeerId peer, const net::Prefix& prefix,
-                                DecisionPlan& plan) const {
-  auto it = adj_out_.find(peer);
-  if (it == adj_out_.end() || it->second.count(prefix) == 0) return;
-  plan.emits.push_back(
-      {peer, ia::make_shared_frame(encode_withdraw(prefix)), /*withdraw=*/true});
-}
-
-void DbgpSpeaker::commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out) {
-  DecisionModule* active = active_module(plan.prefix);
-  if (!plan.has_best) {
-    if (selected_.erase(plan.prefix) > 0 && active != nullptr) {
-      active->on_best_changed(plan.prefix, nullptr);
-    }
-  } else if (plan.store) {
-    auto& slot = selected_[plan.prefix];
-    slot = std::move(plan.best);
-    if (plan.changed && active != nullptr) active->on_best_changed(plan.prefix, &slot);
-  }
-  for (PlannedEmit& e : plan.emits) {
-    if (e.withdraw) {
-      auto it = adj_out_.find(e.peer);
-      if (it == adj_out_.end() || it->second.erase(plan.prefix) == 0) continue;
-      ++stats_.withdraws_sent;
-      SpeakerMetrics::get().withdraws_sent->inc();
-      peer_metrics_[e.peer].withdraws_out->inc();
-      peer_metrics_[e.peer].adj_out_depth->set(
-          static_cast<std::int64_t>(it->second.size()));
-    } else {
-      auto& table = adj_out_[e.peer];
-      table[plan.prefix] = e.frame;
-      ++stats_.ias_sent;
-      SpeakerMetrics::get().ias_sent->inc();
-      peer_metrics_[e.peer].updates_out->inc();
-      peer_metrics_[e.peer].adj_out_depth->set(static_cast<std::int64_t>(table.size()));
-    }
-    stats_.bytes_sent += e.frame->size();
-    SpeakerMetrics::get().bytes_sent->inc(e.frame->size());
-    out.push_back({e.peer, std::move(e.frame), 0});
-  }
-}
-
-void DbgpSpeaker::advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                                     const IaRoute& best, std::vector<DbgpOutgoing>& out) {
-  const ExportBase base = export_base(active, prefix, best);
-  for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-    if (!peers_[peer].up) continue;
-    if (ia::SharedFrame frame = export_frame(peer, base, frame_cache_)) {
-      emit(peer, prefix, std::move(frame), out);
-    } else {
-      withdraw_from_peer(peer, prefix, out);
-    }
-  }
 }
 
 void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
@@ -970,8 +851,16 @@ std::vector<DbgpOutgoing> DbgpSpeaker::reevaluate_all(telemetry::SpanId cause) {
       route->eligible = active == nullptr || active->import_filter(*route);
     }
   }
-  for (const auto& prefix : ia_db_.prefixes()) run_decision(prefix, out);
-  for (const auto& [prefix, unused] : originated_) run_decision(prefix, out);
+  for (const auto& prefix : ia_db_.prefixes()) {
+    commit_plan(plan_decision(prefix, frame_cache_), out);
+  }
+  // Originated prefixes the IA DB also holds (MOAS, anycast) were decided
+  // above; deciding them twice would mint a second span and audit.
+  for (const auto& [prefix, unused] : originated_) {
+    if (ia_db_.candidate_map(prefix) == nullptr) {
+      commit_plan(plan_decision(prefix, frame_cache_), out);
+    }
+  }
   external_cause_ = 0;
   return out;
 }

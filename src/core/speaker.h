@@ -122,30 +122,31 @@ class DbgpSpeaker {
 
   // -- Sharded parallel pipeline -------------------------------------------
   // Attaches a thread pool and partitions the prefix space into `shards`
-  // table shards (0 = one per pool thread). With an attached pool of size
-  // > 1, flush() runs as a pipeline: parallel frame decode, sequential
-  // staging in arrival order, per-shard parallel decision planning (each
+  // table shards (0 = one per pool thread). Every decision is a plan, which
+  // only reads speaker state, and a commit, the only place a decision
+  // mutates anything (Loc-RIB, adj-out, stats, causal spans and audits,
+  // out-of-band lookup puts). With an attached pool of size > 1 and more
+  // than one shard, flush() runs as a pipeline: parallel frame decode,
+  // sequential staging in arrival order, per-shard parallel planning (each
   // shard owns its slice of the batch and its own FrameCache, so planning
-  // is lock-free within a shard), then a sequential commit in global
-  // first-touch order. Plans only read the pre-batch RIB state and commits
-  // are the only mutation, so the emitted frames, RIB contents, and stats
-  // are bit-identical at every thread count and shard count — and identical
-  // to the sequential path a single-threaded pool (or no pool) takes.
-  //
-  // The parallel path disengages automatically (falling back to the exact
-  // sequential code) when causal tracing is attached (the tracer is
-  // single-threaded and span ids must be minted in order), or when
-  // dissemination is out-of-band (emit writes the lookup service).
+  // is lock-free within a shard), then the commits in global first-touch
+  // order. Plans only read the pre-batch state, so the emitted frames, RIB
+  // contents, stats, traces, and audits are bit-identical at every thread
+  // count and shard count, traced or not, in either dissemination mode —
+  // and identical to the plan-then-commit loop a single-threaded pool (or
+  // no pool) runs.
   //
   // Module contract: better() / annotate_export() / annotate_origin() /
   // explain_better() run concurrently across shards and must not mutate
   // module state, except through atomics whose result does not depend on
   // order (WiserModule's advertised-cost sums); import_filter() and
-  // on_best_changed() remain sequential and may. Every in-tree module
+  // on_best_changed() remain sequential and may. A decision's export hooks
+  // run at plan time, before its own on_best_changed(). Every in-tree module
   // satisfies this.
   void set_parallel(util::ThreadPool* pool, std::size_t shards = 0);
   std::size_t shard_count() const noexcept { return shards_; }
-  // True when the next flush will take the parallel path.
+  // True when the next flush will take the parallel path: the attached pool
+  // is wider than one thread and there is more than one shard.
   bool parallel_active() const noexcept;
   // The shard owning a prefix (stable hash; independent of thread count).
   static std::size_t shard_of(const net::Prefix& prefix, std::size_t shards) noexcept;
@@ -219,7 +220,8 @@ class DbgpSpeaker {
   void reset_routes();
   // Sends the current table to a (newly established) peer.
   std::vector<DbgpOutgoing> sync_peer(bgp::PeerId peer);
-  // Re-runs selection for every known prefix (after activating a protocol).
+  // Re-runs selection once per known prefix, learned or originated (after
+  // activating a protocol).
   std::vector<DbgpOutgoing> reevaluate_all(telemetry::SpanId cause = 0);
 
   // -- Inspection -----------------------------------------------------------
@@ -290,15 +292,45 @@ class DbgpSpeaker {
   std::optional<net::Prefix> stage_ia(bgp::PeerId from, ia::IntegratedAdvertisement ia,
                                       telemetry::SpanId cause);
   void flush_into(std::vector<DbgpOutgoing>& out);
-  // Decision + dissemination for one prefix (stages 4-7).
-  void run_decision(const net::Prefix& prefix, std::vector<DbgpOutgoing>& out);
-  void advertise_to_peers(DecisionModule* active, const net::Prefix& prefix,
-                          const IaRoute& best, std::vector<DbgpOutgoing>& out);
+  DecisionModule* active_module(const net::Prefix& prefix) const;
+
+  // One frame a committed decision sends `peer`; null = withdraw instead.
+  struct PlannedEmit {
+    bgp::PeerId peer = bgp::kInvalidPeer;
+    ia::SharedFrame frame;
+  };
+  // One prefix's decision (stages 4-7), planned against the current state
+  // and applied by commit_plan.
+  struct DecisionPlan {
+    net::Prefix prefix;
+    DecisionModule* active = nullptr;
+    // The winner: an IA-DB candidate (nothing mutates the IA DB between
+    // plan and commit) or an owned origin route; neither = unreachable.
+    const IaRoute* learned = nullptr;
+    std::optional<IaRoute> origin;
+    bool changed = false;  // against the current Loc-RIB entry
+    // One entry per up peer; every peer when a selected route is withdrawn.
+    std::vector<PlannedEmit> emits;
+    // Tracing only: the candidate verdicts and prev_path; commit_plan fills
+    // in the rest from the installed Loc-RIB entry.
+    telemetry::DecisionAudit audit;
+  };
+  // Best-path selection and the per-peer exports. Only reads speaker state
+  // (plus `cache`), so the sharded flush runs it on pool threads.
+  DecisionPlan plan_decision(const net::Prefix& prefix, ia::FrameCache& cache) const;
+  // The decision span, Loc-RIB write, on_best_changed, audit, then
+  // emit/withdraw_from_peer per entry. Callers run
+  // commit_plan(plan_decision(prefix, frame_cache_), out); the sharded
+  // flush plans a whole batch on the pool, then commits it in first-touch
+  // order.
+  void commit_plan(DecisionPlan&& plan, std::vector<DbgpOutgoing>& out);
+  // The per-peer output of commit_plan and sync_peer: each updates adj-out,
+  // the sent counters, the frame span and (emit, out of band) the lookup
+  // service. emit applies delta suppression.
   void withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
                           std::vector<DbgpOutgoing>& out);
   void emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
             std::vector<DbgpOutgoing>& out);
-  DecisionModule* active_module(const net::Prefix& prefix) const;
 
   // The peer-invariant half of one decision's export (the factory base of
   // stage 6), built once and shared by every peer the decision fans out to.
@@ -311,10 +343,10 @@ class DbgpSpeaker {
   };
   ExportBase export_base(DecisionModule* active, const net::Prefix& prefix,
                          const IaRoute& best) const;
-  // The per-peer half (stages 5-7 plus the cache lookup), shared by the
-  // immediate, planned, and sync paths: the frame to send `peer`, or null
-  // when the peer must be withdrawn instead (split horizon, or an export
-  // filter dropped the IA). Peers in our own island skip the export filters.
+  // The per-peer half (stages 5-7 plus the cache lookup), shared by
+  // plan_decision and sync_peer: the frame to send `peer`, or null when the
+  // peer must be withdrawn instead (split horizon, or an export filter
+  // dropped the IA). Peers in our own island skip the export filters.
   ia::SharedFrame export_frame(bgp::PeerId peer, const ExportBase& base,
                                ia::FrameCache& cache) const;
 
@@ -330,41 +362,19 @@ class DbgpSpeaker {
     // pool threads); the staging loop skips the frame and counts it.
     bool bad = false;
   };
-  // One frame a committed decision will send, suppression already decided
-  // against the (frozen) pre-batch adj-out.
-  struct PlannedEmit {
-    bgp::PeerId peer = bgp::kInvalidPeer;
-    ia::SharedFrame frame;
-    bool withdraw = false;
-  };
-  // The full effect of one prefix's decision, computed in parallel against
-  // the pre-batch state and applied by commit_plan in first-touch order.
-  struct DecisionPlan {
-    net::Prefix prefix;
-    bool has_best = false;  // false => erase from Loc-RIB, withdraw everywhere
-    bool store = false;     // write `best` into selected_
-    bool changed = false;   // fire on_best_changed
-    IaRoute best;
-    std::vector<PlannedEmit> emits;
-  };
-  bool parallel_enabled() const noexcept;
   bool defer_decode() const noexcept;
   // Decodes staged raw frames (parallel) and stages them in arrival order
   // (sequential), building batch_ exactly as eager staging would have.
   void drain_staged();
-  DecisionPlan plan_decision(const net::Prefix& prefix, ia::FrameCache& cache) const;
-  void plan_advertise(DecisionModule* active, ia::FrameCache& cache, DecisionPlan& plan) const;
-  void plan_withdraw(bgp::PeerId peer, const net::Prefix& prefix, DecisionPlan& plan) const;
-  void commit_plan(DecisionPlan& plan, std::vector<DbgpOutgoing>& out);
 
   DbgpConfig config_;
   LookupService* lookup_;
   IaFactory factory_;
   std::vector<Peer> peers_;
   // Labeled per-peer session counters ("dbgp.peer.*|as=..,peer=..");
-  // parallel to peers_, resolved once at add_peer. Updated identically on
-  // the sequential (run_decision/emit) and parallel (commit_plan) paths so
-  // the shard pipeline's bit-identity extends to the telemetry plane.
+  // parallel to peers_, resolved once at add_peer. Decisions update them
+  // only in emit/withdraw_from_peer, which run at commit, so the shard
+  // pipeline's bit-identity extends to the telemetry plane.
   std::vector<telemetry::PeerMetrics> peer_metrics_;
   std::vector<std::unique_ptr<DecisionModule>> modules_;
   net::PrefixTrie<ia::ProtocolId> active_ranges_;
@@ -419,7 +429,8 @@ class DbgpSpeaker {
   // reset_routes() like originated_: a reboot does not re-originate.
   std::map<net::Prefix, telemetry::SpanId> origin_span_;
   // Parent for frame spans minted by emit()/withdraw_from_peer(): the
-  // current decision span, or the synced route's via_span in sync_peer.
+  // decision span commit_plan just closed, or the synced route's via_span
+  // in sync_peer.
   telemetry::SpanId emit_parent_ = 0;
   // Fallback decision parent for externally caused runs (peer_down after a
   // link cut, reevaluate_all after a protocol activation, ...).

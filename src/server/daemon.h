@@ -55,9 +55,9 @@ class RouteServer {
     double divergence_window = 5.0;
     std::size_t divergence_threshold = 8;
     // Worker threads for each speaker's sharded batch pipeline (1 =
-    // sequential). Effective only with batched delivery AND causal=false:
-    // causal tracing pins speakers to the sequential path so audit/span
-    // streams stay ordered. Changeable at runtime via set_speaker_threads.
+    // sequential). Effective only with batched delivery; causal tracing
+    // keeps the sharded path, and spans and audits come out identical at
+    // any value. Changeable at runtime via set_speaker_threads.
     std::size_t speaker_threads = 1;
     // Observability plane: > 0 attaches a time-series sampler (at this
     // sim-time interval) and the structured event log to the network from

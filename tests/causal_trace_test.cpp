@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/speaker.h"
 #include "protocols/bgp_module.h"
 #include "scenario/parser.h"
 #include "scenario/runner.h"
@@ -206,6 +207,35 @@ TEST(CausalInvariants, ChurnWindowsAreAllAttributed) {
         << "window at t=" << w.window->start << " has no attributed disruption";
     EXPECT_NE(w.window->parent, 0u);  // the opening disruption is the parent
   }
+}
+
+// reevaluate_all decides each prefix once, even one this speaker originates
+// while a peer announces it too (MOAS, anycast): one decision span and one
+// audit, recording the origin overriding the peer's route.
+TEST(CausalInvariants, ReevaluateAllDecidesAMoasOriginOnce) {
+  const net::Prefix prefix = *net::Prefix::parse("10.0.0.0/8");
+  core::DbgpSpeaker neighbor(bgp_as(2));
+  neighbor.add_module(std::make_unique<protocols::BgpModule>());
+  neighbor.add_peer(1);
+  const auto announce = neighbor.originate(prefix).at(0).bytes();
+
+  core::DbgpSpeaker speaker(bgp_as(1));
+  speaker.add_module(std::make_unique<protocols::BgpModule>());
+  const bgp::PeerId from = speaker.add_peer(2);
+  speaker.originate(prefix);
+  speaker.handle_frame(from, announce);
+  ASSERT_NE(speaker.ia_db().candidate_map(prefix), nullptr);
+
+  CausalTracer tracer;
+  speaker.set_causal(&tracer);
+  EXPECT_TRUE(speaker.reevaluate_all().empty());  // nothing changed, nothing sent
+  EXPECT_EQ(tracer.span_count(), 1u);
+  ASSERT_EQ(tracer.audit_count(), 1u);
+  const DecisionAudit audit = tracer.audits().at(0);
+  EXPECT_TRUE(audit.origin);
+  EXPECT_FALSE(audit.changed);
+  ASSERT_EQ(audit.candidates.size(), 1u);
+  EXPECT_EQ(audit.candidates[0].outcome, "origin-overrides");
 }
 
 // -- Tracer mechanics ---------------------------------------------------------

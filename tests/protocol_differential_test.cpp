@@ -6,7 +6,9 @@
 //   * batched delivery is bit-identical at every speaker thread count —
 //     Loc-RIB/adj-in/adj-out byte records, emission order, and churn stats
 //     all compare equal (the DESIGN.md §13 contract, here exercised with
-//     every protocol's annotate/better hooks in the loop, not just BGP's);
+//     every protocol's annotate/better hooks in the loop, not just BGP's) —
+//     and, traced, so are the Perfetto trace and the decision audits, which
+//     puts every module's explain_better on the pool threads too;
 //   * immediate delivery converges to the same routes: every AS selects the
 //     same prefixes over the same path vectors from the same peers. Two
 //     things are deliberately NOT compared across delivery modes: emission
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "audit_stream.h"
 #include "core/speaker.h"
 #include "protocols/bgp_module.h"
 #include "protocols/bgpsec.h"
@@ -41,6 +44,8 @@
 #include "protocols/stackvec.h"
 #include "protocols/wiser.h"
 #include "simnet/network.h"
+#include "telemetry/causal.h"
+#include "telemetry/perfetto_export.h"
 #include "telemetry/trace.h"
 
 namespace dbgp {
@@ -187,12 +192,14 @@ struct DiffRun {
   std::uint64_t processed = 0;
 };
 
-DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads) {
+DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads,
+                 telemetry::CausalTracer* causal = nullptr) {
   telemetry::PropagationTracer tracer;
   simnet::DbgpNetwork::Options options;
   options.delivery = delivery;
   options.speaker_threads = speaker_threads;
   options.tracer = &tracer;
+  options.causal = causal;
   Mesh mesh = make_mesh(options);
   // Originations spread across archetypes: a gulf BGP AS, the BGPSec AS,
   // the FC-BGP AS, and the StackVec gateway island all source prefixes, so
@@ -264,6 +271,29 @@ TEST(ProtocolDifferential, BatchedBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(baseline.full_state, parallel.full_state) << threads << " threads";
     EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
     EXPECT_EQ(baseline.processed, parallel.processed) << threads << " threads";
+  }
+}
+
+// The same contract with causal tracing on: the sharded commit mints every
+// span and audit, so the Perfetto trace and the audit stream (candidates,
+// verdicts, best and previous path, best_via) are byte-identical at every
+// thread count, and tracing leaves the speaker state exactly as untraced.
+TEST(ProtocolDifferential, TracedBatchedBitIdenticalAcrossThreadCounts) {
+  const DiffRun untraced = run_mesh(simnet::DeliveryMode::kBatched, 1);
+  std::string baseline_perfetto;
+  std::string baseline_audits;
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    telemetry::CausalTracer causal;
+    const DiffRun run = run_mesh(simnet::DeliveryMode::kBatched, threads, &causal);
+    EXPECT_EQ(untraced.full_state, run.full_state) << threads << " threads";
+    if (threads == 1) {
+      ASSERT_GT(causal.audit_count(), 0u);
+      baseline_perfetto = telemetry::to_perfetto_json(causal);
+      baseline_audits = audit_stream(causal);
+      continue;
+    }
+    EXPECT_EQ(baseline_perfetto, telemetry::to_perfetto_json(causal)) << threads << " threads";
+    EXPECT_EQ(baseline_audits, audit_stream(causal)) << threads << " threads";
   }
 }
 

@@ -1,8 +1,9 @@
 // Sharded-pipeline tests: the DESIGN.md §13 determinism contract for the
 // speaker's parallel batch path. The plan/commit split promises that emitted
 // frames, RIB contents, stats, traces, and audits are bit-identical at every
-// thread count and shard count — these tests compare the parallel pipeline
-// against the sequential path output-for-output, byte-for-byte. Part of the
+// thread count and shard count, traced or not, in either dissemination mode
+// — these tests compare the sharded pipeline against the 1-thread run
+// output-for-output, byte-for-byte. Part of the
 // `dbgp_concurrency_tests` binary (ctest -L concurrency) so the
 // dbgp_tsan_check target re-runs exactly this surface under ThreadSanitizer
 // and dbgp_asan_check under AddressSanitizer.
@@ -15,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "audit_stream.h"
+#include "core/lookup_service.h"
 #include "core/speaker.h"
 #include "ia/codec.h"
 #include "ia/frame_cache.h"
@@ -23,6 +26,7 @@
 #include "simnet/network.h"
 #include "telemetry/causal.h"
 #include "telemetry/metrics.h"
+#include "telemetry/perfetto_export.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -114,12 +118,15 @@ struct RunResult {
 // Feeds `stream` into a fresh receiver attached to a `threads`-wide pool and
 // captures everything it emits. `shared_frames` selects the refcounted
 // enqueue overload (the deferred-decode path when max_batch == 0 and the
-// pool is wide); undecodable frames are counted, never fatal.
+// pool is wide); undecodable frames are counted, never fatal. With a
+// `lookup` service the receiver disseminates out of band into it.
 RunResult run_receiver(const std::vector<WireFrame>& stream, std::size_t threads,
                        std::size_t shards = 0, std::size_t max_batch = 256,
-                       bool shared_frames = false) {
+                       bool shared_frames = false, core::LookupService* lookup = nullptr) {
   util::ThreadPool pool(threads);
-  core::DbgpSpeaker rx(bgp_as(1, max_batch));
+  core::DbgpConfig config = bgp_as(1, max_batch);
+  if (lookup != nullptr) config.dissemination = core::Dissemination::kOutOfBand;
+  core::DbgpSpeaker rx(config, lookup);
   rx.add_module(std::make_unique<protocols::BgpModule>());
   const bgp::PeerId from_a = rx.add_peer(900);
   const bgp::PeerId from_b = rx.add_peer(901);
@@ -248,25 +255,77 @@ TEST(ShardPipeline, PropertyRandomInterleavingsBitIdentical) {
   }
 }
 
+// Every key and value in a lookup service, flattened for comparison.
+std::string lookup_contents(const core::LookupService& lookup) {
+  std::string out;
+  for (const std::string& key : lookup.keys_with_prefix("")) {
+    const auto value = lookup.get(key);
+    out += key + "=" + std::string(value->begin(), value->end()) + "\n";
+  }
+  return out;
+}
+
+// Out-of-band dissemination runs on the sharded path: emit's lookup puts
+// happen at commit, in first-touch order, so the notices, the lookup
+// service's contents and its put count match the 1-thread run — with eager
+// staging and with deferred decode.
+TEST(ShardPipeline, OutOfBandBitIdenticalAcrossThreadCounts) {
+  const auto stream = make_stream(200);
+  struct Mode {
+    std::size_t max_batch;
+    bool shared_frames;
+  };
+  for (const Mode mode : {Mode{256, false}, Mode{0, true}}) {
+    core::LookupService baseline_lookup;
+    const RunResult baseline = run_receiver(stream, 1, 0, mode.max_batch,
+                                            mode.shared_frames, &baseline_lookup);
+    std::size_t notices = 0;
+    for (const WireFrame& frame : baseline.emitted) {
+      const auto type = static_cast<core::FrameType>(frame.bytes.at(0));
+      EXPECT_NE(type, core::FrameType::kAnnounce);  // announces go out as notices
+      notices += type == core::FrameType::kNotice;
+    }
+    ASSERT_GT(notices, 0u) << "max_batch " << mode.max_batch;
+    ASSERT_GT(baseline_lookup.put_count(), 0u);
+
+    core::LookupService lookup;
+    const RunResult parallel =
+        run_receiver(stream, 4, 0, mode.max_batch, mode.shared_frames, &lookup);
+    EXPECT_EQ(baseline.emitted, parallel.emitted) << "max_batch " << mode.max_batch;
+    EXPECT_TRUE(baseline.same_routes(parallel)) << "max_batch " << mode.max_batch;
+    EXPECT_TRUE(baseline.same_stats(parallel)) << "max_batch " << mode.max_batch;
+    EXPECT_EQ(lookup_contents(baseline_lookup), lookup_contents(lookup))
+        << "max_batch " << mode.max_batch;
+    EXPECT_EQ(baseline_lookup.put_count(), lookup.put_count())
+        << "max_batch " << mode.max_batch;
+  }
+}
+
 // -- The parallel gate --------------------------------------------------------
 
-TEST(ShardPipeline, GateDisengagesForCausalAndOutOfBand) {
+// The gate depends only on the pool width and the shard count: a causal
+// tracer and out-of-band dissemination keep the sharded path, because the
+// commit mints every decision span and audit and makes every lookup put.
+TEST(ShardPipeline, GateDependsOnlyOnPoolWidthAndShards) {
   util::ThreadPool pool(4);
 
   core::DbgpSpeaker wide(bgp_as(1));
+  EXPECT_FALSE(wide.parallel_active());  // no pool
   wide.set_parallel(&pool);
   EXPECT_TRUE(wide.parallel_active());
   EXPECT_EQ(wide.shard_count(), pool.size());
 
   telemetry::CausalTracer tracer;
   wide.set_causal(&tracer);
-  EXPECT_FALSE(wide.parallel_active());  // audits must mint ids in order
-  wide.set_causal(nullptr);
   EXPECT_TRUE(wide.parallel_active());
+  wide.set_parallel(&pool, 1);
+  EXPECT_FALSE(wide.parallel_active());  // one shard
+  wide.set_parallel(nullptr);
+  EXPECT_FALSE(wide.parallel_active());
 
   util::ThreadPool narrow_pool(1);
   core::DbgpSpeaker narrow(bgp_as(2));
-  narrow.set_parallel(&narrow_pool);
+  narrow.set_parallel(&narrow_pool, 4);
   EXPECT_FALSE(narrow.parallel_active());
 
   auto oob_config = bgp_as(3);
@@ -274,7 +333,7 @@ TEST(ShardPipeline, GateDisengagesForCausalAndOutOfBand) {
   core::LookupService lookup;
   core::DbgpSpeaker oob(oob_config, &lookup);
   oob.set_parallel(&pool);
-  EXPECT_FALSE(oob.parallel_active());  // emit writes the lookup service
+  EXPECT_TRUE(oob.parallel_active());
 }
 
 // -- Network-level bit-identity ----------------------------------------------
@@ -387,29 +446,38 @@ TEST(ShardPipelineNetwork, ChaosBitIdenticalAcrossSpeakerThreads) {
   }
 }
 
-// Causal tracing pins every speaker to the sequential path; the span/audit
-// stream must come out identical whatever thread count was requested.
-TEST(ShardPipelineNetwork, CausalTracingForcesSequentialWithIdenticalAudits) {
+// Causal tracing keeps every speaker on the sharded path; the Perfetto
+// trace and the full audit stream come out byte-identical whatever thread
+// count was requested.
+TEST(ShardPipelineNetwork, CausalTracingStaysParallelWithIdenticalTrace) {
+  struct CausalRun {
+    std::size_t audit_count = 0;
+    std::string perfetto;
+    std::string audits;
+    std::string ribs;
+  };
   auto run_causal = [](std::size_t speaker_threads) {
-    auto tracer = std::make_unique<telemetry::CausalTracer>();
+    telemetry::CausalTracer tracer;
     simnet::DbgpNetwork::Options options;
     options.delivery = simnet::DeliveryMode::kBatched;
-    options.causal = tracer.get();
+    options.causal = &tracer;
     options.speaker_threads = speaker_threads;
     simnet::DbgpNetwork net = make_line(4, options);
     for (bgp::AsNumber asn = 1; asn <= 4; ++asn) {
-      EXPECT_FALSE(net.speaker(asn).parallel_active())
+      EXPECT_EQ(net.speaker(asn).parallel_active(), speaker_threads > 1)
           << "AS" << asn << " with " << speaker_threads << " threads";
     }
     for (std::uint32_t i = 0; i < 8; ++i) net.originate(1 + i % 4, nth_prefix(i));
     net.run_to_convergence();
-    return std::make_tuple(tracer->span_count(), tracer->audit_count(),
-                           dump_ribs(net, 4));
+    return CausalRun{tracer.audit_count(), telemetry::to_perfetto_json(tracer),
+                     audit_stream(tracer), dump_ribs(net, 4)};
   };
-  const auto baseline = run_causal(1);
-  const auto parallel = run_causal(8);
-  EXPECT_GT(std::get<1>(baseline), 0u);
-  EXPECT_EQ(baseline, parallel);
+  const CausalRun baseline = run_causal(1);
+  const CausalRun parallel = run_causal(8);
+  EXPECT_GT(baseline.audit_count, 0u);
+  EXPECT_EQ(baseline.perfetto, parallel.perfetto);
+  EXPECT_EQ(baseline.audits, parallel.audits);
+  EXPECT_EQ(baseline.ribs, parallel.ribs);
 }
 
 // Live reconfiguration: speaker-threads changes are refused while any

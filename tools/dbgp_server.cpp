@@ -34,9 +34,9 @@
 // footprint, but why/blame and the divergence watchdog go dark).
 //
 // --speaker-threads runs each speaker's decode/decision stages on a shared
-// worker pool (effective with --batched --no-causal; causal tracing pins
-// speakers to the sequential path). Serving state stays bit-identical at any
-// value, and `set speaker-threads <n>` changes it live between drains.
+// worker pool (effective with --batched, traced or not). Serving state and
+// the causal trace stay bit-identical at any value, and
+// `set speaker-threads <n>` changes it live between drains.
 //
 // --observe-interval turns on the observability plane (time-series sampling +
 // event journal; also available live via the `observe` verb, and implied by a
