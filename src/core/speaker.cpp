@@ -235,8 +235,7 @@ namespace {
 std::vector<std::uint8_t> encode_prefix_frame(FrameType type, const net::Prefix& prefix) {
   util::ByteWriter w;
   w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_u32(prefix.address().value());
-  w.put_u8(prefix.length());
+  net::put_prefix(w, prefix);
   return w.take();
 }
 }  // namespace
@@ -362,12 +361,10 @@ std::optional<net::Prefix> DbgpSpeaker::stage_frame(bgp::PeerId from,
     case FrameType::kAnnounce:
       return stage_ia(from, ia::decode_ia(r.get_bytes(r.remaining())), cause);
     case FrameType::kWithdraw: {
-      const std::uint32_t addr = r.get_u32();
-      const std::uint8_t len = r.get_u8();
+      const net::Prefix prefix = net::get_prefix(r);
       ++stats_.withdraws_received;
       SpeakerMetrics::get().withdraws_received->inc();
       peer_metrics_[from].withdraws_in->inc();
-      const net::Prefix prefix(net::Ipv4Address(addr), len);
       if (ia_db_.remove(from, prefix)) {
         if (causal_ != nullptr && cause != 0) pending_cause_[prefix] = cause;
         return prefix;
@@ -375,9 +372,7 @@ std::optional<net::Prefix> DbgpSpeaker::stage_frame(bgp::PeerId from,
       return std::nullopt;
     }
     case FrameType::kNotice: {
-      const std::uint32_t addr = r.get_u32();
-      const std::uint8_t len = r.get_u8();
-      const net::Prefix prefix(net::Ipv4Address(addr), len);
+      const net::Prefix prefix = net::get_prefix(r);
       ++stats_.lookup_fetches;
       SpeakerMetrics::get().lookup_fetches->inc();
       if (lookup_ == nullptr) {
@@ -412,6 +407,28 @@ std::optional<net::Prefix> DbgpSpeaker::stage_ia(bgp::PeerId from,
   ++stats_.ias_received;
   SpeakerMetrics::get().ias_received->inc();
   peer_metrics_[from].updates_in->inc();
+
+  // The receiver's half of the frame span's per-hop stamp: the protocols
+  // the IA carries, and whether this AS understands them (it runs a module
+  // for its active protocol and the IA carries a descriptor of that
+  // protocol) or passes them through.
+  if (causal_ != nullptr && cause != 0) {
+    std::string stamp = "protocols";
+    char sep = '=';
+    for (const ia::ProtocolId p : ia.protocols_on_path()) {
+      stamp += sep;
+      stamp += ia::default_registry().name(p);
+      sep = '+';
+    }
+    const ia::ProtocolId active = active_protocol_for(ia.destination);
+    const auto of_active = [active](const auto& d) { return d.protocol == active; };
+    const bool understood =
+        module(active) != nullptr &&
+        (std::ranges::any_of(ia.path_descriptors(), of_active) ||
+         std::ranges::any_of(ia.island_descriptors(), of_active));
+    stamp += understood ? ",understood" : ",pass-through";
+    causal_->annotate(cause, stamp);
+  }
 
   // Stage 1: global import filters.
   FilterContext ctx;
@@ -779,7 +796,7 @@ void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix
   if (causal_ != nullptr) {
     span = causal_->begin_span(telemetry::SpanKind::kFrame, emit_parent_, trace_now(),
                                config_.asn, peers_.at(peer).asn, "withdraw",
-                               prefix.to_string());
+                               prefix.to_string(), "bytes=" + std::to_string(frame->size()));
   }
   out.push_back({peer, std::move(frame), span});
 }
@@ -796,29 +813,25 @@ void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFr
   SpeakerMetrics::get().ias_sent->inc();
   peer_metrics_[peer].updates_out->inc();
   peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(table.size()));
-  telemetry::SpanId span = 0;
-  if (causal_ != nullptr) {
-    span = causal_->begin_span(
-        telemetry::SpanKind::kFrame, emit_parent_, trace_now(), config_.asn,
-        peers_.at(peer).asn,
-        config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr
-            ? "notice"
-            : "announce",
-        prefix.to_string());
-  }
-  if (config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr) {
-    // The lookup service stores the bare IA bytes (no frame-type byte).
+  const bool out_of_band =
+      config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr;
+  if (out_of_band) {
+    // The lookup service stores the bare IA bytes (no frame-type byte); the
+    // wire carries only a notice naming the prefix.
     lookup_->put(LookupService::ia_key(config_.asn, peers_.at(peer).asn, prefix),
                  std::vector<std::uint8_t>(frame->begin() + 1, frame->end()));
-    auto notice = ia::make_shared_frame(encode_notice(prefix));
-    stats_.bytes_sent += notice->size();
-    SpeakerMetrics::get().bytes_sent->inc(notice->size());
-    out.push_back({peer, std::move(notice), span});
-  } else {
-    stats_.bytes_sent += frame->size();
-    SpeakerMetrics::get().bytes_sent->inc(frame->size());
-    out.push_back({peer, std::move(frame), span});
+    frame = ia::make_shared_frame(encode_notice(prefix));
   }
+  stats_.bytes_sent += frame->size();
+  SpeakerMetrics::get().bytes_sent->inc(frame->size());
+  telemetry::SpanId span = 0;
+  if (causal_ != nullptr) {
+    span = causal_->begin_span(telemetry::SpanKind::kFrame, emit_parent_, trace_now(),
+                               config_.asn, peers_.at(peer).asn,
+                               out_of_band ? "notice" : "announce", prefix.to_string(),
+                               "bytes=" + std::to_string(frame->size()));
+  }
+  out.push_back({peer, std::move(frame), span});
 }
 
 std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {

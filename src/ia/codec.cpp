@@ -190,8 +190,7 @@ struct EncodeResult {
 EncodeResult encode_body(const IntegratedAdvertisement& ia, bool share_blobs,
                          bool allow_splice) {
   ByteWriter w;
-  w.put_u32(ia.destination.address().value());
-  w.put_u8(ia.destination.length());
+  net::put_prefix(w, ia.destination);
 
   encode_path_vector(w, ia.path_vector);
 
@@ -354,10 +353,7 @@ IntegratedAdvertisement decode_ia(std::span<const std::uint8_t> data) {
   }
 
   IntegratedAdvertisement ia;
-  const std::uint32_t addr = r.get_u32();
-  const std::uint8_t len = r.get_u8();
-  if (len > 32) throw DecodeError("bad IA prefix length");
-  ia.destination = net::Prefix(net::Ipv4Address(addr), len);
+  ia.destination = net::get_prefix(r);
 
   ia.path_vector = decode_path_vector(r);
 

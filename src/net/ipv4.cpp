@@ -1,5 +1,6 @@
 #include "net/ipv4.h"
 
+#include "util/bytes.h"
 #include "util/strings.h"
 
 namespace dbgp::net {
@@ -55,6 +56,18 @@ std::optional<Prefix> Prefix::parse(std::string_view text) noexcept {
   std::uint64_t len = 0;
   if (!util::parse_u64(text.substr(slash + 1), len) || len > 32) return std::nullopt;
   return Prefix(*addr, static_cast<std::uint8_t>(len));
+}
+
+void put_prefix(util::ByteWriter& w, const Prefix& prefix) {
+  w.put_u32(prefix.address().value());
+  w.put_u8(prefix.length());
+}
+
+Prefix get_prefix(util::ByteReader& r) {
+  const std::uint32_t addr = r.get_u32();
+  const std::uint8_t len = r.get_u8();
+  if (len > 32) throw util::DecodeError("prefix length > 32");
+  return Prefix(Ipv4Address(addr), len);
 }
 
 bool Prefix::contains(Ipv4Address addr) const noexcept {

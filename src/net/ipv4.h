@@ -12,6 +12,11 @@
 #include <string>
 #include <string_view>
 
+namespace dbgp::util {
+class ByteReader;
+class ByteWriter;
+}  // namespace dbgp::util
+
 namespace dbgp::net {
 
 class Ipv4Address {
@@ -61,6 +66,12 @@ class Prefix {
   Ipv4Address address_;
   std::uint8_t length_ = 0;
 };
+
+// The wire form every D-BGP codec shares: the address as a big-endian u32,
+// then the length as a u8. get_prefix is the one place untrusted bytes
+// become a Prefix: it throws util::DecodeError for a length above 32.
+void put_prefix(util::ByteWriter& w, const Prefix& prefix);
+Prefix get_prefix(util::ByteReader& r);
 
 // Hash support for unordered containers.
 struct PrefixHash {

@@ -10,8 +10,7 @@ using util::ByteWriter;
 
 std::vector<std::uint8_t> encode_lisp_mapping(const LispMapping& mapping) {
   ByteWriter w;
-  w.put_u32(mapping.eid_prefix.address().value());
-  w.put_u8(mapping.eid_prefix.length());
+  net::put_prefix(w, mapping.eid_prefix);
   w.put_varint(mapping.map_version);
   w.put_varint(mapping.rlocs.size());
   for (const auto& rloc : mapping.rlocs) w.put_u32(rloc.value());
@@ -21,10 +20,7 @@ std::vector<std::uint8_t> encode_lisp_mapping(const LispMapping& mapping) {
 LispMapping decode_lisp_mapping(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   LispMapping mapping;
-  const std::uint32_t addr = r.get_u32();
-  const std::uint8_t len = r.get_u8();
-  if (len > 32) throw util::DecodeError("bad EID prefix length");
-  mapping.eid_prefix = net::Prefix(net::Ipv4Address(addr), len);
+  mapping.eid_prefix = net::get_prefix(r);
   mapping.map_version = static_cast<std::uint32_t>(r.get_varint());
   const std::uint64_t raw_n = r.get_varint();
   r.expect_items(raw_n, 4);

@@ -16,8 +16,7 @@ void encode_one(ByteWriter& w, const Pathlet& p) {
   for (std::uint32_t v : p.vias) w.put_varint(v);
   if (p.delivers) {
     w.put_u8(1);
-    w.put_u32(p.delivers->address().value());
-    w.put_u8(p.delivers->length());
+    net::put_prefix(w, *p.delivers);
   } else {
     w.put_u8(0);
   }
@@ -31,10 +30,7 @@ Pathlet decode_one(ByteReader& r) {
   const std::size_t n = static_cast<std::size_t>(raw_n);
   p.vias.reserve(n);
   for (std::size_t i = 0; i < n; ++i) p.vias.push_back(static_cast<std::uint32_t>(r.get_varint()));
-  if (r.get_u8() != 0) {
-    const std::uint32_t addr = r.get_u32();
-    p.delivers = net::Prefix(net::Ipv4Address(addr), r.get_u8());
-  }
+  if (r.get_u8() != 0) p.delivers = net::get_prefix(r);
   return p;
 }
 

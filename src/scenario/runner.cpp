@@ -154,11 +154,6 @@ std::size_t RunResult::failures() const noexcept {
   return count;
 }
 
-void Runner::enable_tracing() {
-  tracing_ = true;
-  if (net_ != nullptr) net_->options().tracer = &tracer_;
-}
-
 void Runner::enable_causal_tracing() { causal_tracing_ = true; }
 
 void Runner::build(const Scenario& scenario) {
@@ -202,7 +197,6 @@ void Runner::build(const Scenario& scenario) {
   options.delivery = delivery_;
   options.speaker_threads =
       speaker_threads_override_.value_or(scenario_.speaker_threads);
-  if (tracing_) options.tracer = &tracer_;
   if (causal_tracing_) options.causal = &causal_;
   if (const double observe = observe_override_.value_or(scenario_.observe_interval);
       observe > 0.0) {

@@ -16,7 +16,6 @@
 #include "sim/experiment.h"
 #include "simnet/chaos.h"
 #include "simnet/network.h"
-#include "telemetry/trace.h"
 
 namespace dbgp::scenario {
 
@@ -85,15 +84,11 @@ class Runner {
  public:
   Runner() = default;
 
-  // Records per-hop IA propagation trace events during run(). Call before
-  // build() (tracing starts with the initial table sync); safe to call
-  // after, in which case tracing covers the remaining events.
-  void enable_tracing();
-  const telemetry::PropagationTracer& tracer() const noexcept { return tracer_; }
-
   // Records causal spans + decision audits during run() (telemetry/causal.h;
-  // drives the Perfetto export and dbgp_explain). Call before build():
-  // speakers bind to the tracer at creation.
+  // drives the Perfetto export, the oracle, and dbgp_explain). Frame spans
+  // carry the per-hop facts: wire size, carried protocols, understood or
+  // passed through. Call before build(): speakers bind to the tracer at
+  // creation.
   void enable_causal_tracing();
   const telemetry::CausalTracer& causal() const noexcept { return causal_; }
 
@@ -145,8 +140,6 @@ class Runner {
   core::LookupService lookup_;
   protocols::AttestationAuthority authority_;
   std::unique_ptr<simnet::DbgpNetwork> net_;
-  telemetry::PropagationTracer tracer_;
-  bool tracing_ = false;
   telemetry::CausalTracer causal_;
   bool causal_tracing_ = false;
   simnet::DeliveryMode delivery_ = simnet::DeliveryMode::kImmediate;

@@ -369,34 +369,26 @@ CommandResult ControlApi::dispatch(const std::vector<std::string>& tokens) {
     return {true, false, "observing every " + tokens[1] + "s (history reset)"};
   }
   if (verb == "health") {
-    server_.poll_divergence();
     std::size_t up = 0;
     const auto ases = server_.as_numbers();
     for (const auto asn : ases) up += server_.network().node_up(asn) ? 1 : 0;
     std::ostringstream out;
     out << "time=" << server_.now() << " ases=" << ases.size() << " up=" << up
-        << " links=" << server_.link_count()
-        << " oscillating=" << server_.divergence().oscillating()
-        << " commands=" << executed_ << " spans=" << server_.causal().span_count()
+        << " links=" << server_.link_count() << " commands=" << executed_
+        << " spans=" << server_.causal().span_count()
         << " audits=" << server_.causal().audit_count();
-    // The oracle's classification replaces the watchdog's guess as the
-    // headline verdict; the watchdog's per-prefix flip counts stay as the
-    // live early-warning lines below. Without causal tracing there is no
-    // history to classify, so the verdict line is simply absent.
+    // The oracle's verdict heads the reply, and every (AS, prefix) it does
+    // not call converged gets a detail line: the early warnings. Without
+    // causal tracing there is no history to classify, so both are absent.
     if (server_.causal_enabled()) {
       const telemetry::ConvergenceOracle::RunReport report = server_.classify_convergence();
-      out << " verdict=" << telemetry::to_string(report.verdict)
-          << " converged=" << report.converged << " diverged=" << report.diverged
-          << " oscillating-prefixes=" << report.oscillating;
+      out << ' ' << telemetry::summary(report);
       for (const auto& p : report.prefixes) {
         if (p.verdict == telemetry::Verdict::kConverged) continue;
         out << "\n" << telemetry::to_string(p.verdict) << " AS" << p.as << ' '
             << p.prefix << " flips=" << p.flips << " post-chaos=" << p.post_chaos_flips
             << " — " << p.reason;
       }
-    }
-    for (const auto& [key, flips] : server_.divergence().report()) {
-      out << "\noscillating " << key << " flips=" << flips;
     }
     return {true, false, out.str()};
   }

@@ -21,10 +21,7 @@ std::uint64_t fnv1a64_step(std::uint64_t h, std::span<const std::uint8_t> bytes)
 
 }  // namespace
 
-RouteServer::RouteServer(Options options)
-    : options_(options),
-      divergence_(telemetry::OscillationDetector::Options{
-          options.divergence_window, options.divergence_threshold}) {
+RouteServer::RouteServer(Options options) : options_(options) {
   simnet::DbgpNetwork::Options net_options;
   net_options.delivery = options_.delivery;
   net_options.speaker_threads = options_.speaker_threads;
@@ -36,7 +33,6 @@ RouteServer::RouteServer(Options options)
   snapshots_ = &registry.counter("server.snapshots");
   restores_ = &registry.counter("server.restores");
   uptime_ = &registry.gauge("server.uptime_sim_s");
-  oscillating_ = &registry.gauge("server.divergence.oscillating_prefixes");
   if (options_.observe_interval > 0.0) set_observe(options_.observe_interval);
 }
 
@@ -62,13 +58,7 @@ telemetry::ConvergenceOracle::RunReport RouteServer::classify_convergence() {
     throw std::runtime_error("convergence oracle needs causal tracing (Options::causal)");
   }
   auto report = oracle_.classify(causal_);
-  if (event_log_ != nullptr) {
-    std::string detail = std::string("verdict=") + telemetry::to_string(report.verdict);
-    detail += " converged=" + std::to_string(report.converged);
-    detail += " diverged=" + std::to_string(report.diverged);
-    detail += " oscillating=" + std::to_string(report.oscillating);
-    event_log_->record(now(), "oracle", 0, 0, std::move(detail));
-  }
+  if (event_log_ != nullptr) event_log_->record(now(), "oracle", 0, 0, summary(report));
   return report;
 }
 
@@ -295,7 +285,6 @@ void RouteServer::graceful_restart(bgp::AsNumber asn) {
 simnet::RunStats RouteServer::run() {
   const simnet::RunStats stats = net_->run_to_convergence();
   uptime_->set(static_cast<std::int64_t>(now()));
-  poll_divergence();
   return stats;
 }
 
@@ -306,7 +295,6 @@ simnet::RunStats RouteServer::step(double seconds) {
 simnet::RunStats RouteServer::run_until(double until) {
   const simnet::RunStats stats = net_->run_until(until);
   uptime_->set(static_cast<std::int64_t>(now()));
-  poll_divergence();
   return stats;
 }
 
@@ -386,12 +374,6 @@ void RouteServer::restore(const Snapshot& snapshot) {
     net_->speaker(node.decl.asn).restore_state(node.state, /*keep_adj_out=*/true);
   }
   net_->events().advance_to(snapshot.sim_time);
-  divergence_.clear();
-  // The gauge mirrors the detector; clearing one without the other left a
-  // stale pre-restore oscillating-prefix count visible to `metrics` until
-  // the next poll_divergence with fresh audits.
-  oscillating_->set(0);
-  audit_cursor_ = causal_.audit_count();
   uptime_->set(static_cast<std::int64_t>(now()));
   restores_->inc();
 }
@@ -425,14 +407,6 @@ std::uint64_t RouteServer::loc_rib_hash(bgp::AsNumber asn) const {
     h = fnv1a64_step(h, record.bytes);
   }
   return h;
-}
-
-void RouteServer::poll_divergence() {
-  if (!options_.causal) return;
-  const auto fresh = causal_.audits_since(audit_cursor_);
-  audit_cursor_ += fresh.size();
-  divergence_.observe(fresh);
-  oscillating_->set(static_cast<std::int64_t>(divergence_.oscillating()));
 }
 
 }  // namespace dbgp::server

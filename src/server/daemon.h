@@ -36,7 +36,6 @@
 #include "simnet/chaos.h"
 #include "simnet/network.h"
 #include "telemetry/causal.h"
-#include "telemetry/divergence.h"
 #include "telemetry/event_log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/oracle.h"
@@ -49,11 +48,8 @@ class RouteServer {
   struct Options {
     simnet::DeliveryMode delivery = simnet::DeliveryMode::kImmediate;
     // Causal tracing on by default: the daemon's why/blame verbs and the
-    // divergence watchdog read the audit log. Benches turn it off.
+    // convergence oracle behind `health` read the trace. Benches turn it off.
     bool causal = true;
-    // Divergence watchdog tuning (telemetry/divergence.h).
-    double divergence_window = 5.0;
-    std::size_t divergence_threshold = 8;
     // Worker threads for each speaker's sharded batch pipeline (1 =
     // sequential). Effective only with batched delivery; causal tracing
     // keeps the sharded path, and spans and audits come out identical at
@@ -142,7 +138,6 @@ class RouteServer {
   simnet::DbgpNetwork& network() noexcept { return *net_; }
   bool causal_enabled() const noexcept { return options_.causal; }
   const telemetry::CausalTracer& causal() const noexcept { return causal_; }
-  const telemetry::OscillationDetector& divergence() const noexcept { return divergence_; }
 
   // -- Observability plane ----------------------------------------------------
   // (Re)creates the sampler + event log at `interval` and attaches them to
@@ -162,10 +157,6 @@ class RouteServer {
   // FNV-1a-64 over the AS's encoded Loc-RIB (prefix + selected IA bytes) —
   // the equality probe the snapshot and reconfiguration tests compare.
   std::uint64_t loc_rib_hash(bgp::AsNumber asn) const;
-  // Ingests new decision audits into the oscillation detector and mirrors
-  // the flagged-prefix count into server.divergence.oscillating_prefixes.
-  // run()/step() call this; health does too, so it is always fresh.
-  void poll_divergence();
 
  private:
   struct NodeMeta {
@@ -196,8 +187,6 @@ class RouteServer {
   // Stores must outlive the speakers referencing them.
   std::map<bgp::AsNumber, std::unique_ptr<protocols::PathletStore>> pathlet_stores_;
   std::map<bgp::AsNumber, core::DbgpSpeaker::SpeakerState> checkpoints_;
-  telemetry::OscillationDetector divergence_;
-  std::size_t audit_cursor_ = 0;
 
   // Observability plane (set_observe); heap-held so the network can keep raw
   // pointers and reconfiguration swaps cleanly.
@@ -211,8 +200,7 @@ class RouteServer {
   telemetry::Counter* reconfigs_ = nullptr;
   telemetry::Counter* snapshots_ = nullptr;
   telemetry::Counter* restores_ = nullptr;
-  telemetry::Gauge* uptime_ = nullptr;       // simulated seconds served
-  telemetry::Gauge* oscillating_ = nullptr;  // divergence watchdog output
+  telemetry::Gauge* uptime_ = nullptr;  // simulated seconds served
 };
 
 }  // namespace dbgp::server

@@ -21,20 +21,8 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
 void put_f64(util::ByteWriter& w, double v) { w.put_u64(std::bit_cast<std::uint64_t>(v)); }
 double get_f64(util::ByteReader& r) { return std::bit_cast<double>(r.get_u64()); }
 
-void put_prefix(util::ByteWriter& w, const net::Prefix& prefix) {
-  w.put_u32(prefix.address().value());
-  w.put_u8(prefix.length());
-}
-
-net::Prefix get_prefix(util::ByteReader& r) {
-  const std::uint32_t addr = r.get_u32();
-  const std::uint8_t len = r.get_u8();
-  if (len > 32) throw util::DecodeError("prefix length > 32");
-  return net::Prefix(net::Ipv4Address(addr), len);
-}
-
 void put_record(util::ByteWriter& w, const core::DbgpSpeaker::RouteRecord& r) {
-  put_prefix(w, r.prefix);
+  net::put_prefix(w, r.prefix);
   w.put_varint(r.from_peer);
   w.put_varint(r.neighbor_as);
   w.put_u64(r.sequence);
@@ -45,7 +33,7 @@ void put_record(util::ByteWriter& w, const core::DbgpSpeaker::RouteRecord& r) {
 
 core::DbgpSpeaker::RouteRecord get_record(util::ByteReader& r) {
   core::DbgpSpeaker::RouteRecord record;
-  record.prefix = get_prefix(r);
+  record.prefix = net::get_prefix(r);
   record.from_peer = static_cast<bgp::PeerId>(r.get_varint());
   record.neighbor_as = static_cast<bgp::AsNumber>(r.get_varint());
   record.sequence = r.get_u64();
@@ -87,7 +75,7 @@ void put_node(util::ByteWriter& w, const Snapshot::Node& node) {
   w.put_u8(node.up ? 1 : 0);
   w.put_u8(node.retired ? 1 : 0);
   w.put_varint(node.state.originated.size());
-  for (const auto& p : node.state.originated) put_prefix(w, p);
+  for (const auto& p : node.state.originated) net::put_prefix(w, p);
   w.put_u64(node.state.sequence);
   put_records(w, node.state.adj_in);
   put_records(w, node.state.selected);
@@ -119,7 +107,7 @@ Snapshot::Node get_node(util::ByteReader& r) {
   r.expect_items(originated, 5);
   node.state.originated.reserve(originated);
   for (std::uint64_t i = 0; i < originated; ++i) {
-    node.state.originated.push_back(get_prefix(r));
+    node.state.originated.push_back(net::get_prefix(r));
   }
   node.state.sequence = r.get_u64();
   node.state.adj_in = get_records(r);
@@ -152,7 +140,7 @@ std::vector<std::uint8_t> encode_snapshot(const Snapshot& snapshot) {
     w.put_varint(p.vias.size());
     for (const auto v : p.vias) w.put_varint(v);
     w.put_u8(p.delivers ? 1 : 0);
-    if (p.delivers) put_prefix(w, *p.delivers);
+    if (p.delivers) net::put_prefix(w, *p.delivers);
   }
   w.put_varint(snapshot.scion_paths.size());
   for (const auto& s : snapshot.scion_paths) {
@@ -218,7 +206,7 @@ Snapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
       for (std::uint64_t v = 0; v < vias; ++v) {
         decl.vias.push_back(static_cast<std::uint32_t>(r.get_varint()));
       }
-      if (r.get_u8() != 0) decl.delivers = get_prefix(r);
+      if (r.get_u8() != 0) decl.delivers = net::get_prefix(r);
       snapshot.pathlets.push_back(std::move(decl));
     }
     const std::uint64_t scions = r.get_varint();

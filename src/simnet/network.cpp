@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "ia/codec.h"
-#include "ia/ids.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 
@@ -416,59 +414,6 @@ void DbgpNetwork::schedule_frame(bgp::AsNumber from, bgp::AsNumber to, ia::Share
   });
 }
 
-// Reconstructs the per-hop trace record from the wire frame. Announce frames
-// are decoded a second time here (only when a tracer is attached) so the
-// trace can report the carried protocols and the IA payload size.
-void DbgpNetwork::trace_delivery(bgp::AsNumber from, bgp::AsNumber to,
-                                 const std::vector<std::uint8_t>& bytes) {
-  telemetry::TraceEvent event;
-  event.time = events_.now();
-  event.from_as = from;
-  event.to_as = to;
-  event.frame_bytes = bytes.size();
-  event.frame_type = "unknown";
-  try {
-    util::ByteReader r(bytes);
-    const auto type = static_cast<core::FrameType>(r.get_u8());
-    switch (type) {
-      case core::FrameType::kAnnounce: {
-        event.frame_type = "announce";
-        event.ia_bytes = r.remaining();
-        const auto ia = ia::decode_ia(r.get_bytes(r.remaining()));
-        const net::Prefix prefix = ia.destination;
-        event.prefix = prefix.to_string();
-        for (const auto p : ia.protocols_on_path()) {
-          event.protocols.push_back(std::string(ia::default_registry().name(p)));
-        }
-        // "Understood" means the receiver can consume the advertisement's
-        // custom control information: it runs a module for its active
-        // protocol on this prefix AND the IA carries a descriptor for that
-        // protocol. Everything else is D-BGP pass-through.
-        const auto& receiver = *nodes_.at(to).speaker;
-        const ia::ProtocolId active = receiver.active_protocol_for(prefix);
-        bool carries_active = false;
-        for (const auto& d : ia.path_descriptors()) carries_active |= d.protocol == active;
-        for (const auto& d : ia.island_descriptors()) {
-          carries_active |= d.protocol == active;
-        }
-        event.understood = receiver.module(active) != nullptr && carries_active;
-        break;
-      }
-      case core::FrameType::kWithdraw:
-      case core::FrameType::kNotice: {
-        event.frame_type = type == core::FrameType::kWithdraw ? "withdraw" : "notice";
-        const std::uint32_t addr = r.get_u32();
-        const std::uint8_t len = r.get_u8();
-        event.prefix = net::Prefix(net::Ipv4Address(addr), len).to_string();
-        break;
-      }
-    }
-  } catch (const util::DecodeError&) {
-    // Malformed frames still appear in the trace, as "unknown".
-  }
-  options_.tracer->record(std::move(event));
-}
-
 void DbgpNetwork::deliver(bgp::AsNumber from, bgp::AsNumber to, const ia::SharedFrame& frame,
                           DeliveryMode mode, telemetry::SpanId span) {
   NetworkMetrics::get().messages_in_flight->add(-1);
@@ -495,7 +440,6 @@ void DbgpNetwork::deliver(bgp::AsNumber from, bgp::AsNumber to, const ia::Shared
   const std::vector<std::uint8_t>& bytes = *frame;
   NetworkMetrics::get().frames_delivered->inc();
   NetworkMetrics::get().bytes_delivered->inc(bytes.size());
-  if (options_.tracer != nullptr) trace_delivery(from, to, bytes);
   try {
     if (mode == DeliveryMode::kImmediate) {
       dispatch(to, it->second.speaker->handle_frame(peer, bytes, span));

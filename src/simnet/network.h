@@ -27,7 +27,6 @@
 #include "simnet/link.h"
 #include "telemetry/event_log.h"
 #include "telemetry/sampler.h"
-#include "telemetry/trace.h"
 #include "util/thread_pool.h"
 
 namespace dbgp::simnet {
@@ -40,15 +39,12 @@ class DbgpNetwork {
     // the deployment scenarios' traces bit-identical to the pre-batching
     // pipeline.
     DeliveryMode delivery = DeliveryMode::kImmediate;
-    // IA propagation tracer: every delivered frame is recorded as a per-hop
-    // TraceEvent (announce frames are additionally decoded for the carried
-    // protocols, at a cost — leave unset on hot benchmark paths).
-    telemetry::PropagationTracer* tracer = nullptr;
-    // Causal tracer: originations mint traces, frames carry parent spans,
-    // decisions emit audit records, and chaos events land on the same
-    // timeline (telemetry/causal.h). Unset = zero overhead: speakers mint no
-    // ids and the delivery path takes no extra branches beyond one null
-    // check.
+    // Causal tracer, the run's one recorder: originations mint traces,
+    // frames carry parent spans stamped with their per-hop facts (wire size,
+    // carried protocols, understood or passed through), decisions emit audit
+    // records, and chaos events land on the same timeline
+    // (telemetry/causal.h). Unset = zero overhead: speakers mint no ids and
+    // the delivery path takes no extra branches beyond one null check.
     telemetry::CausalTracer* causal = nullptr;
     // Time-series sampler: the delivery loop ticks it at event granularity
     // (the sampler enforces its own minimum interval), so metric histories
@@ -191,8 +187,6 @@ class DbgpNetwork {
   void dispatch(bgp::AsNumber origin_asn, std::vector<core::DbgpOutgoing> outgoing);
   void schedule_frame(bgp::AsNumber from, bgp::AsNumber to, ia::SharedFrame frame,
                       double delay, telemetry::SpanId span);
-  void trace_delivery(bgp::AsNumber from, bgp::AsNumber to,
-                      const std::vector<std::uint8_t>& bytes);
   // Records a chaos event on the causal timeline; returns its span (0 when
   // causal tracing is off) so session churn it provokes can chain to it.
   telemetry::SpanId chaos_instant(std::uint32_t as, std::uint32_t peer_as,

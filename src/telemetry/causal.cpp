@@ -111,12 +111,6 @@ std::vector<DecisionAudit> CausalTracer::audits() const {
   return audits_;
 }
 
-std::vector<DecisionAudit> CausalTracer::audits_since(std::size_t start) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (start >= audits_.size()) return {};
-  return {audits_.begin() + static_cast<std::ptrdiff_t>(start), audits_.end()};
-}
-
 std::size_t CausalTracer::span_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_.size();

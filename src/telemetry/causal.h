@@ -2,14 +2,20 @@
 //
 // The paper's deployment results (Section 6.1, Figure 8) are causal claims:
 // *this* origination crossed *that* gulf and triggered *those* route
-// changes. The flat per-hop PropagationTracer cannot answer "why does AS X
-// use path P for prefix Q at time T" — this tracer can, because it records
-// the causal structure itself:
+// changes. This tracer is the run's only recorder: it answers "why does AS X
+// use path P for prefix Q at time T" because it records the causal structure
+// itself:
 //
 //   * every origination mints a root span whose id doubles as the trace id;
 //   * every emitted frame carries a span whose parent is the decision (or
 //     origination) that produced it; the span's [start, end] is the frame's
-//     wire transit in sim time;
+//     wire transit in sim time. Its detail holds the per-hop facts of the
+//     Figure 8 walk: the sender opens it with `bytes=<wire size>`, and the
+//     receiver, once it has the IA decoded, appends `protocols=<a+b+...>`
+//     and `understood` (it runs a module for its active protocol and the IA
+//     carries a descriptor of that protocol) or `pass-through`. Fault and
+//     rejection annotations (`lost`, `duplicated`, `corrupted`,
+//     `rejected:decode-error`, ...) land in the same list;
 //   * every decision-process run emits a DecisionAudit — the candidate set,
 //     the exact step that selected or rejected each candidate, and the
 //     resulting RIB delta — linked to the span of the inbound update that
@@ -24,10 +30,10 @@
 // per-AS-track timeline for chrome://tracing / ui.perfetto.dev.
 //
 // Ids are minted from a per-tracer counter, so a deterministic simulation
-// yields a byte-identical trace. Storage is bounded like PropagationTracer:
-// past the limit, spans/audits are counted (and surfaced via the
-// `telemetry.causal.dropped` registry counter) but not stored; dropped span
-// ids are still minted so causality stays consistent for the stored prefix.
+// yields a byte-identical trace. Storage is bounded: past the limit,
+// spans/audits are counted (and surfaced via the `telemetry.causal.dropped`
+// registry counter) but not stored; dropped span ids are still minted so
+// causality stays consistent for the stored prefix.
 #pragma once
 
 #include <cstddef>
@@ -129,10 +135,6 @@ class CausalTracer {
 
   std::vector<Span> spans() const;
   std::vector<DecisionAudit> audits() const;
-  // Copies the audits stored at index >= `start`, for incremental consumers
-  // (the route server's divergence watchdog polls with audit_count() as its
-  // cursor instead of re-copying the whole log every interval).
-  std::vector<DecisionAudit> audits_since(std::size_t start) const;
   std::size_t span_count() const;
   std::size_t audit_count() const;
   // Spans + audits that hit the cap and were not stored.

@@ -55,29 +55,6 @@ Value to_json(const MetricsSnapshot& snapshot) {
   return Value(std::move(root));
 }
 
-Value to_json(const PropagationTracer& tracer) {
-  Array events;
-  for (const auto& e : tracer.events()) {
-    Object entry;
-    entry.emplace_back("time", Value(e.time));
-    entry.emplace_back("from_as", Value(static_cast<std::uint64_t>(e.from_as)));
-    entry.emplace_back("to_as", Value(static_cast<std::uint64_t>(e.to_as)));
-    entry.emplace_back("frame", Value(e.frame_type));
-    entry.emplace_back("prefix", Value(e.prefix));
-    entry.emplace_back("frame_bytes", Value(e.frame_bytes));
-    entry.emplace_back("ia_bytes", Value(e.ia_bytes));
-    Array protocols;
-    for (const auto& p : e.protocols) protocols.push_back(Value(p));
-    entry.emplace_back("protocols", Value(std::move(protocols)));
-    entry.emplace_back("understood", Value(e.understood));
-    events.push_back(Value(std::move(entry)));
-  }
-  Object root;
-  root.emplace_back("events", Value(std::move(events)));
-  root.emplace_back("dropped", Value(tracer.dropped()));
-  return Value(std::move(root));
-}
-
 namespace {
 
 const Value& member(const Value& v, const char* key) {
@@ -126,10 +103,6 @@ MetricsSnapshot snapshot_from_json(const Value& value) {
 
 void write_metrics_json(const std::string& path, const MetricsSnapshot& snapshot) {
   util::json::write_file(path, to_json(snapshot));
-}
-
-void write_trace_json(const std::string& path, const PropagationTracer& tracer) {
-  util::json::write_file(path, to_json(tracer));
 }
 
 }  // namespace dbgp::telemetry

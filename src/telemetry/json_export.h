@@ -1,4 +1,4 @@
-// JSON views of telemetry state: metrics snapshots and propagation traces.
+// JSON view of telemetry state: metrics snapshots.
 //
 // Export shapes (consumed by tools/bench_report and by the BENCH_*.json
 // trajectory; keep stable):
@@ -10,22 +10,17 @@
 //                                          "buckets":[{"le":b,"count":n},...,
 //                                                     {"le":"inf","count":n}]}}}
 //
-//   trace:    { "events": [ {"time","from_as","to_as","frame","prefix",
-//                            "frame_bytes","ia_bytes","protocols":[...],
-//                            "understood"}, ... ],
-//               "dropped": n }
+// Run traces are the causal tracer's, exported by telemetry/perfetto_export.h.
 #pragma once
 
 #include <string>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "util/json.h"
 
 namespace dbgp::telemetry {
 
 util::json::Value to_json(const MetricsSnapshot& snapshot);
-util::json::Value to_json(const PropagationTracer& tracer);
 
 // Reconstructs the numeric content of a snapshot from its JSON form (the
 // inverse of to_json up to double precision); throws std::runtime_error on
@@ -34,6 +29,5 @@ MetricsSnapshot snapshot_from_json(const util::json::Value& value);
 
 // Serializes and writes to `path` (pretty-printed); throws on IO failure.
 void write_metrics_json(const std::string& path, const MetricsSnapshot& snapshot);
-void write_trace_json(const std::string& path, const PropagationTracer& tracer);
 
 }  // namespace dbgp::telemetry

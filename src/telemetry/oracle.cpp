@@ -144,6 +144,13 @@ ConvergenceOracle::RunReport ConvergenceOracle::classify(
   return report;
 }
 
+std::string summary(const ConvergenceOracle::RunReport& report) {
+  return std::string("verdict=") + to_string(report.verdict) +
+         " converged=" + std::to_string(report.converged) +
+         " diverged=" + std::to_string(report.diverged) +
+         " oscillating=" + std::to_string(report.oscillating);
+}
+
 util::json::Value to_json(const ConvergenceOracle::RunReport& report) {
   using util::json::Array;
   using util::json::Object;

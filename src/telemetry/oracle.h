@@ -1,12 +1,13 @@
 // Convergence oracle: per-prefix convergence classification over the causal
 // trace DAG.
 //
-// "The queue drained" is not a convergence proof, and PR 6's sliding-window
-// watchdog (divergence.h) is a heuristic: it flags fast flipping but cannot
-// tell a chaos-induced reconvergence burst from a genuine dispute wheel, and
-// it never notices routes that silently stayed lost. This oracle classifies
-// each (as, prefix) pair — and the run — from the recorded history itself
-// (PR 4 spans + DecisionAudits), following the shape of the Daggitt–Griffin
+// "The queue drained" is not a convergence proof, and counting fast flips
+// in a sliding window cannot tell a chaos-induced reconvergence burst from a
+// genuine dispute wheel, nor notice routes that silently stayed lost. This
+// oracle — the repo's only convergence judge, behind dbgp_run --oracle and
+// the route server's `health` — classifies each (as, prefix) pair, and the
+// run, from the recorded history itself (causal spans + DecisionAudits),
+// following the shape of the Daggitt–Griffin
 // convergence criteria (arXiv 2106.01184): a run converges iff every node's
 // selection sequence reaches a fixed point consistent with the surviving
 // originations.
@@ -28,8 +29,8 @@
 //     point consistent with the originations that survived the run.
 //
 // The run verdict is the worst prefix verdict (oscillating > diverged >
-// converged). Validated against the known half-wiser-ring diverger from
-// PR 6 (tests/oracle_test.cpp).
+// converged). Validated against the known half-wiser-ring diverger
+// (tests/oracle_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -94,6 +95,11 @@ class ConvergenceOracle {
  private:
   Options options_;
 };
+
+// The run verdict as one line, "verdict=<v> converged=<n> diverged=<n>
+// oscillating=<n>": what dbgp_run prints, the end of `health`'s headline,
+// and the detail of every journaled "oracle" event.
+std::string summary(const ConvergenceOracle::RunReport& report);
 
 // Full report as JSON (dbgp_run --observe writes this next to the metrics).
 util::json::Value to_json(const ConvergenceOracle::RunReport& report);

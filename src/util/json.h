@@ -1,6 +1,6 @@
 // Minimal JSON document model, serializer, and parser.
 //
-// Used by the telemetry exporters (metrics snapshots, propagation traces,
+// Used by the telemetry exporters (metrics snapshots, Perfetto traces,
 // BENCH_*.json results) and by tools/bench_report, which reads those files
 // back. No external dependency: the container only guarantees the C++
 // toolchain, so the repo carries its own ~RFC 8259 subset. Numbers are

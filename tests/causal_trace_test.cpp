@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/lookup_service.h"
 #include "core/speaker.h"
 #include "protocols/bgp_module.h"
 #include "scenario/parser.h"
@@ -236,6 +238,75 @@ TEST(CausalInvariants, ReevaluateAllDecidesAMoasOriginOnce) {
   EXPECT_FALSE(audit.changed);
   ASSERT_EQ(audit.candidates.size(), 1u);
   EXPECT_EQ(audit.candidates[0].outcome, "origin-overrides");
+}
+
+// -- Frame-span stamps where the wire differs ---------------------------------
+
+// The frame spans of `tracer` sent by `from` to `to`.
+std::vector<Span> frames(const CausalTracer& tracer, bgp::AsNumber from, bgp::AsNumber to) {
+  std::vector<Span> out;
+  for (const Span& s : tracer.spans()) {
+    if (s.kind == SpanKind::kFrame && s.as == from && s.peer_as == to) out.push_back(s);
+  }
+  return out;
+}
+
+TEST(FrameStamps, OutOfBandNoticeCarriesNoticeSizeAndFetchedProtocols) {
+  CausalTracer tracer;
+  core::LookupService lookup;
+  simnet::DbgpNetwork::Options options;
+  options.causal = &tracer;
+  simnet::DbgpNetwork net(&lookup, options);
+  for (bgp::AsNumber asn = 1; asn <= 3; ++asn) {
+    core::DbgpConfig config = bgp_as(asn);
+    config.dissemination = core::Dissemination::kOutOfBand;
+    net.add_as(config).add_module(std::make_unique<protocols::BgpModule>());
+  }
+  net.add_link(1, 2);
+  net.add_link(2, 3);
+  const auto prefix = *net::Prefix::parse("10.0.0.0/8");
+  net.originate(1, prefix);
+  net.run_to_convergence();
+  ASSERT_NE(net.speaker(3).best(prefix), nullptr);
+  for (const auto& [from, to] : {std::pair{1u, 2u}, std::pair{2u, 3u}}) {
+    const auto spans = frames(tracer, from, to);
+    ASSERT_EQ(spans.size(), 1u) << from << ">" << to;
+    EXPECT_EQ(spans[0].name, "notice");
+    // The wire carried the 6-byte notice, not the IA; the receiver stamped
+    // what it fetched from the lookup service.
+    EXPECT_EQ(spans[0].detail, "bytes=6,protocols=bgp,pass-through") << from << ">" << to;
+  }
+}
+
+TEST(FrameStamps, DuplicatedFrameStampedTwiceCorruptedFrameNotAtAll) {
+  CausalTracer tracer;
+  simnet::DbgpNetwork::Options options;
+  options.causal = &tracer;
+  simnet::DbgpNetwork net(nullptr, options);
+  for (bgp::AsNumber asn = 1; asn <= 3; ++asn) {
+    net.add_as(bgp_as(asn)).add_module(std::make_unique<protocols::BgpModule>());
+  }
+  net.add_link(1, 2).set_faults({/*loss=*/0.0, /*duplicate=*/1.0}, 7);
+  net.add_link(2, 3).set_faults({0.0, 0.0, /*reorder=*/0.0, /*corrupt=*/1.0}, 7);
+  const auto prefix = *net::Prefix::parse("10.0.0.0/8");
+  net.originate(1, prefix);
+  net.run_to_convergence();
+  ASSERT_NE(net.speaker(2).best(prefix), nullptr);
+  EXPECT_EQ(net.speaker(3).best(prefix), nullptr);
+
+  const auto duplicated = frames(tracer, 1, 2);
+  ASSERT_EQ(duplicated.size(), 1u);  // both copies share one span
+  const std::string stamp = "protocols=bgp,pass-through";
+  const std::string once = duplicated[0].detail.substr(duplicated[0].detail.find(stamp));
+  EXPECT_EQ(once, stamp + "," + stamp) << duplicated[0].detail;
+  EXPECT_NE(duplicated[0].detail.find(",duplicated,"), std::string::npos);
+
+  const auto corrupted = frames(tracer, 2, 3);
+  ASSERT_FALSE(corrupted.empty());
+  for (const Span& s : corrupted) {
+    EXPECT_NE(s.detail.find("rejected:decode-error"), std::string::npos) << s.detail;
+    EXPECT_EQ(s.detail.find("protocols="), std::string::npos) << s.detail;
+  }
 }
 
 // -- Tracer mechanics ---------------------------------------------------------

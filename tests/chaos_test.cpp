@@ -5,9 +5,12 @@
 // (the fault paths shuffle shared frames around enough to deserve it).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "audit_stream.h"
 #include "protocols/bgp_module.h"
+#include "protocols/pathlet.h"
 #include "scenario/parser.h"
 #include "scenario/runner.h"
 #include "simnet/chaos.h"
@@ -44,20 +47,6 @@ bool same_churn(const RunStats& a, const RunStats& b) {
          a.frames_rejected == b.frames_rejected;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // -- Link API -----------------------------------------------------------------
 
 TEST(LinkApi, AddLinkOncePerPair) {
@@ -71,8 +60,8 @@ TEST(LinkApi, AddLinkOncePerPair) {
 
 TEST(LinkApi, DisconnectReconnectRestoresRoutes) {
   DbgpNetwork::Options options;
-  telemetry::PropagationTracer tracer;
-  options.tracer = &tracer;
+  telemetry::CausalTracer tracer;
+  options.causal = &tracer;
   DbgpNetwork net = make_line(3, options);
   const auto prefix = *net::Prefix::parse("10.0.0.0/8");
   net.originate(1, prefix);
@@ -85,7 +74,7 @@ TEST(LinkApi, DisconnectReconnectRestoresRoutes) {
   EXPECT_EQ(net.speaker(3).best(prefix), nullptr);
   EXPECT_EQ(net.link(2, 3).stats().flaps, 1u);
 
-  const std::size_t trace_before_reconnect = tracer.size();
+  const std::size_t spans_before_reconnect = tracer.span_count();
   net.link(2, 3).set_state(LinkState::kUp);
   net.run_to_convergence();
   ASSERT_NE(net.speaker(3).best(prefix), nullptr);
@@ -93,10 +82,11 @@ TEST(LinkApi, DisconnectReconnectRestoresRoutes) {
 
   // Trace-verified: the restored session re-announced over the 2-3 link.
   bool resynced = false;
-  const auto events = tracer.events();
-  for (std::size_t i = trace_before_reconnect; i < events.size(); ++i) {
-    resynced |= events[i].from_as == 2 && events[i].to_as == 3 &&
-                events[i].frame_type == "announce" && events[i].prefix == "10.0.0.0/8";
+  const auto spans = tracer.spans();
+  for (std::size_t i = spans_before_reconnect; i < spans.size(); ++i) {
+    resynced |= spans[i].kind == telemetry::SpanKind::kFrame && spans[i].as == 2 &&
+                spans[i].peer_as == 3 && spans[i].name == "announce" &&
+                spans[i].prefix == "10.0.0.0/8";
   }
   EXPECT_TRUE(resynced);
 }
@@ -204,6 +194,90 @@ TEST(Corruption, CountedAndRejectedInFlight) {
   EXPECT_EQ(net.speaker(3).best(prefix), nullptr);
 }
 
+// -- Prefix lengths above 32 -------------------------------------------------
+//
+// A wire prefix is a u32 address and a u8 length. A length above 32 must be
+// rejected before it reaches net::Prefix, whose mask would shift by a
+// negative amount; every decoder reads prefixes through net::get_prefix.
+
+// What a rejected frame must leave alone: adj-in, Loc-RIB and adj-out as
+// their codec bytes, and the RIB arena's meter.
+std::string rib_state(const core::DbgpSpeaker& speaker) {
+  const auto state = speaker.export_state();
+  std::string out = "arena=" + std::to_string(speaker.rib_arena().bytes_in_use()) + "\n";
+  for (const auto* records : {&state.adj_in, &state.selected, &state.adj_out}) {
+    for (const auto& r : *records) {
+      out += r.prefix.to_string() + " peer=" + std::to_string(r.from_peer) + " ";
+      out.append(r.bytes.begin(), r.bytes.end());
+      out += "\n";
+    }
+    out += "--\n";
+  }
+  return out;
+}
+
+// A withdraw (type 2) and a notice (type 3) for 10.0.0.0/33.
+const std::vector<std::vector<std::uint8_t>> kLongPrefixFrames = {{2, 10, 0, 0, 0, 33},
+                                                                  {3, 10, 0, 0, 0, 33}};
+
+// Batched delivery on a 2-thread pool with explicit flushes (max_batch 0):
+// each speaker runs the sharded pipeline, so enqueue_frame defers decoding
+// to flush.
+DbgpNetwork converged_sharded_pair() {
+  DbgpNetwork::Options options;
+  options.delivery = DeliveryMode::kBatched;
+  options.speaker_threads = 2;
+  DbgpNetwork net(nullptr, options);
+  for (bgp::AsNumber asn = 1; asn <= 2; ++asn) {
+    core::DbgpConfig config = bgp_as(asn);
+    config.max_batch = 0;
+    net.add_as(config).add_module(std::make_unique<protocols::BgpModule>());
+  }
+  net.add_link(1, 2);
+  net.originate(1, *net::Prefix::parse("10.0.0.0/8"));
+  net.run_to_convergence();
+  return net;
+}
+
+TEST(LongPrefix, HandleFrameThrowsBeforeAnyCounterMoves) {
+  DbgpNetwork net = converged_sharded_pair();
+  auto& receiver = net.speaker(2);
+  const std::string before = rib_state(receiver);
+  ASSERT_NE(before.find("10.0.0.0/8"), std::string::npos);
+  for (const auto& frame : kLongPrefixFrames) {
+    EXPECT_THROW(receiver.handle_frame(0, frame), util::DecodeError) << int{frame[0]};
+  }
+  EXPECT_EQ(receiver.stats().withdraws_received, 0u);
+  EXPECT_EQ(receiver.stats().lookup_fetches, 0u);
+  EXPECT_EQ(rib_state(receiver), before);
+}
+
+TEST(LongPrefix, DeferredFlushCountsOneRejectPerFrame) {
+  DbgpNetwork net = converged_sharded_pair();
+  auto& receiver = net.speaker(2);
+  const std::string before = rib_state(receiver);
+  for (const auto& frame : kLongPrefixFrames) {
+    EXPECT_TRUE(receiver.enqueue_frame(0, frame).empty());
+    EXPECT_EQ(receiver.pending_batch(), 1u);  // staged raw, not yet decoded
+    EXPECT_TRUE(receiver.flush().empty());
+    EXPECT_EQ(receiver.take_deferred_rejects(), 1u) << int{frame[0]};
+  }
+  EXPECT_EQ(receiver.stats().withdraws_received, 0u);
+  EXPECT_EQ(receiver.stats().lookup_fetches, 0u);
+  EXPECT_EQ(rib_state(receiver), before);
+}
+
+TEST(LongPrefix, PathletDeliversPrefixRejected) {
+  // One pathlet: fid 1, no vias, delivers 10.0.0.0/40.
+  const std::vector<std::uint8_t> payload = {1, 1, 0, 1, 10, 0, 0, 0, 40};
+  EXPECT_THROW(protocols::decode_pathlets(payload), util::DecodeError);
+  std::vector<std::uint8_t> valid = payload;
+  valid.back() = 24;
+  const auto pathlets = protocols::decode_pathlets(valid);
+  ASSERT_EQ(pathlets.size(), 1u);
+  EXPECT_EQ(pathlets[0].delivers->to_string(), "10.0.0.0/24");
+}
+
 // -- Crash / restart ----------------------------------------------------------
 
 TEST(NodeChurn, CrashRestartRelearnsFromPeers) {
@@ -266,15 +340,15 @@ ChaosOptions stress_chaos() {
 
 struct SeededRun {
   RunStats stats;
-  std::vector<telemetry::TraceEvent> trace;
+  std::string hops;
   std::string table;
 };
 
 SeededRun run_seeded(const ChaosOptions& chaos, DeliveryMode mode) {
-  telemetry::PropagationTracer tracer;
+  telemetry::CausalTracer tracer;
   DbgpNetwork::Options options;
   options.delivery = mode;
-  options.tracer = &tracer;
+  options.causal = &tracer;
   DbgpNetwork net = make_line(5, options);
   const auto prefix = *net::Prefix::parse("10.0.0.0/8");
   net.originate(1, prefix);
@@ -282,7 +356,7 @@ SeededRun run_seeded(const ChaosOptions& chaos, DeliveryMode mode) {
   policy.inject(net);
   SeededRun result;
   result.stats = net.run_to_convergence();
-  result.trace = tracer.events();
+  result.hops = frame_hops(tracer);
   const auto* best = net.speaker(5).best(prefix);
   result.table = best == nullptr ? "unreachable" : best->ia.path_vector.to_string();
   return result;
@@ -292,7 +366,7 @@ TEST(Determinism, SameSeedReplaysBitIdentically) {
   const SeededRun a = run_seeded(stress_chaos(), DeliveryMode::kImmediate);
   const SeededRun b = run_seeded(stress_chaos(), DeliveryMode::kImmediate);
   EXPECT_TRUE(same_churn(a.stats, b.stats));
-  EXPECT_TRUE(same_trace(a.trace, b.trace));
+  EXPECT_EQ(a.hops, b.hops);
   EXPECT_EQ(a.table, b.table);
   EXPECT_GT(a.stats.link_flaps, 0u);  // the schedule actually did something
 }
@@ -312,17 +386,18 @@ TEST(Determinism, ChurnCountersMatchAcrossDeliveryModes) {
 TEST(Determinism, ZeroChaosLeavesRunsUntouched) {
   SeededRun plain;
   {
-    telemetry::PropagationTracer tracer;
+    telemetry::CausalTracer tracer;
     DbgpNetwork::Options options;
-    options.tracer = &tracer;
+    options.causal = &tracer;
     DbgpNetwork net = make_line(5, options);
     const auto prefix = *net::Prefix::parse("10.0.0.0/8");
     net.originate(1, prefix);
     plain.stats = net.run_to_convergence();
-    plain.trace = tracer.events();
+    plain.hops = frame_hops(tracer);
   }
   const SeededRun with_zero_chaos = run_seeded(ChaosOptions{}, DeliveryMode::kImmediate);
-  EXPECT_TRUE(same_trace(plain.trace, with_zero_chaos.trace));
+  EXPECT_FALSE(plain.hops.empty());
+  EXPECT_EQ(plain.hops, with_zero_chaos.hops);
   EXPECT_EQ(plain.stats.processed, with_zero_chaos.stats.processed);
   EXPECT_EQ(with_zero_chaos.stats.link_flaps, 0u);
   EXPECT_EQ(with_zero_chaos.stats.frames_lost, 0u);

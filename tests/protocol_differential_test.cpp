@@ -4,11 +4,12 @@
 // processing path delivered the frames:
 //
 //   * batched delivery is bit-identical at every speaker thread count —
-//     Loc-RIB/adj-in/adj-out byte records, emission order, and churn stats
-//     all compare equal (the DESIGN.md §13 contract, here exercised with
-//     every protocol's annotate/better hooks in the loop, not just BGP's) —
-//     and, traced, so are the Perfetto trace and the decision audits, which
-//     puts every module's explain_better on the pool threads too;
+//     Loc-RIB/adj-in/adj-out byte records and event counts compare equal
+//     (the DESIGN.md §13 contract, here exercised with every protocol's
+//     annotate/better hooks in the loop, not just BGP's) — and, traced, so
+//     do the Perfetto trace (every frame span, so the emission order and
+//     the per-hop stamps) and the decision audits, which puts every
+//     module's explain_better on the pool threads too;
 //   * immediate delivery converges to the same routes: every AS selects the
 //     same prefixes over the same path vectors from the same peers. Two
 //     things are deliberately NOT compared across delivery modes: emission
@@ -46,7 +47,6 @@
 #include "simnet/network.h"
 #include "telemetry/causal.h"
 #include "telemetry/perfetto_export.h"
-#include "telemetry/trace.h"
 
 namespace dbgp {
 namespace {
@@ -188,17 +188,14 @@ struct DiffRun {
   std::string loc_rib;     // selected routes only, byte-exact
   std::string routes;      // selected routes at path-vector level (mode-stable)
   std::string full_state;  // originated + adj-in + selected + adj-out
-  std::vector<telemetry::TraceEvent> trace;
   std::uint64_t processed = 0;
 };
 
 DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads,
                  telemetry::CausalTracer* causal = nullptr) {
-  telemetry::PropagationTracer tracer;
   simnet::DbgpNetwork::Options options;
   options.delivery = delivery;
   options.speaker_threads = speaker_threads;
-  options.tracer = &tracer;
   options.causal = causal;
   Mesh mesh = make_mesh(options);
   // Originations spread across archetypes: a gulf BGP AS, the BGPSec AS,
@@ -214,7 +211,6 @@ DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads,
 
   DiffRun result;
   result.processed = stats.processed;
-  result.trace = tracer.events();
   for (const NodeSpec& spec : kMesh) {
     const auto& speaker = mesh.net->speaker(spec.asn);
     for (const auto& prefix : speaker.selected_prefixes()) {
@@ -236,20 +232,6 @@ DiffRun run_mesh(simnet::DeliveryMode delivery, std::size_t speaker_threads,
   return result;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(ProtocolDifferential, MeshConvergesWithRoutesEverywhere) {
   const DiffRun run = run_mesh(simnet::DeliveryMode::kImmediate, 1);
   // Every AS selects every one of the 10 prefixes (the mesh is connected).
@@ -257,19 +239,18 @@ TEST(ProtocolDifferential, MeshConvergesWithRoutesEverywhere) {
     EXPECT_NE(run.loc_rib.find("AS" + std::to_string(spec.asn)), std::string::npos);
   }
   EXPECT_GT(run.processed, 0u);
-  EXPECT_FALSE(run.trace.empty());
 }
 
 // The §13 contract, under every protocol's hooks at once: batched delivery
-// is bit-identical at any speaker thread count — same emitted frame
-// sequence, same byte-exact speaker state, same event count.
+// is bit-identical at any speaker thread count — same byte-exact speaker
+// state, adj-out included, and same event count. The traced test below
+// compares the emitted frame sequence itself.
 TEST(ProtocolDifferential, BatchedBitIdenticalAcrossThreadCounts) {
   const DiffRun baseline = run_mesh(simnet::DeliveryMode::kBatched, 1);
   ASSERT_FALSE(baseline.loc_rib.empty());
   for (const std::size_t threads : {2ul, 4ul}) {
     const DiffRun parallel = run_mesh(simnet::DeliveryMode::kBatched, threads);
     EXPECT_EQ(baseline.full_state, parallel.full_state) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
     EXPECT_EQ(baseline.processed, parallel.processed) << threads << " threads";
   }
 }

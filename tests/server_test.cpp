@@ -1,6 +1,6 @@
 // Route-server daemon suite (ctest -L server): live reconfiguration,
 // snapshot/restore bit-identity, graceful restart, the control API, and the
-// divergence watchdog.
+// convergence verdict `health` reports.
 //
 // The load-bearing invariant throughout: a daemon restored from a snapshot
 // is indistinguishable from the daemon that lived through the events — same
@@ -19,7 +19,6 @@
 #include "server/control.h"
 #include "server/daemon.h"
 #include "server/snapshot.h"
-#include "telemetry/divergence.h"
 
 namespace dbgp {
 namespace {
@@ -294,13 +293,7 @@ TEST(GracefulRestart, WarmRestartWithoutCheckpointFails) {
 // -- Control API -------------------------------------------------------------
 
 TEST(Control, ScriptedSessionWithHundredPeersSnapshotUpgradeRestore) {
-  // The chaos stanza below genuinely flips routes — with the default
-  // threshold (8) some leaves sit exactly at the flag line while the window
-  // is still young. Raise it: this test is about snapshot/upgrade/restore
-  // equality; watchdog semantics live in the Divergence tests.
-  RouteServer::Options options;
-  options.divergence_threshold = 64;
-  RouteServer lived(options);
+  RouteServer lived;
   ControlApi api(lived);
   ASSERT_TRUE(api.execute("add-as 1 island=core protocol=wiser cost=2").ok);
   ASSERT_TRUE(api.execute("originate 1 10.0.0.0/8").ok);
@@ -418,43 +411,18 @@ TEST(ServerStanza, RejectsBackwardsTimeAndSweepCombination) {
       std::runtime_error);
 }
 
-// -- Divergence watchdog -----------------------------------------------------
+// -- Health ------------------------------------------------------------------
 
-telemetry::DecisionAudit flip(std::uint32_t as, const std::string& prefix, double t,
-                              bool changed = true) {
-  telemetry::DecisionAudit audit;
-  audit.as = as;
-  audit.prefix = prefix;
-  audit.time = t;
-  audit.changed = changed;
-  return audit;
-}
-
-TEST(Divergence, FlagsOscillatingPrefixInsideWindow) {
-  telemetry::OscillationDetector detector({/*window=*/5.0, /*threshold=*/8});
-  for (int i = 0; i < 9; ++i) detector.observe(flip(1, "10.0.0.0/8", 0.1 * i));
-  EXPECT_EQ(detector.oscillating(), 1u);
-  const auto report = detector.report();
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0].first, "AS1 10.0.0.0/8");
-  EXPECT_GE(report[0].second, 8u);
-}
-
-TEST(Divergence, WindowSlidesAndUnchangedAuditsAgeItOut) {
-  telemetry::OscillationDetector detector({5.0, 8});
-  for (int i = 0; i < 9; ++i) detector.observe(flip(1, "10.0.0.0/8", 0.1 * i));
-  ASSERT_EQ(detector.oscillating(), 1u);
-  // A quiet stretch (audits with no RIB change) moves the clock; the old
-  // flips fall out of the trailing window.
-  detector.observe(flip(2, "10.9.0.0/16", 30.0, /*changed=*/false));
-  EXPECT_EQ(detector.oscillating(), 0u);
-}
-
-TEST(Divergence, StableNetworkNeverFlags) {
+TEST(Health, StableDaemonReportsConvergedWithoutDetailLines) {
   RouteServer server;
   boot(server, kWiserIsland);
-  server.poll_divergence();
-  EXPECT_EQ(server.divergence().oscillating(), 0u);
+  ControlApi api(server);
+  const auto health = api.execute("health");
+  ASSERT_TRUE(health.ok);
+  EXPECT_NE(health.text.find("verdict=converged"), std::string::npos) << health.text;
+  EXPECT_NE(health.text.find(" oscillating=0"), std::string::npos) << health.text;
+  // Detail lines exist only for (AS, prefix) pairs the oracle flags.
+  EXPECT_EQ(health.text.find('\n'), std::string::npos) << health.text;
 }
 
 }  // namespace

@@ -356,20 +356,6 @@ bool same_churn(const simnet::RunStats& a, const simnet::RunStats& b) {
          a.frames_rejected == b.frames_rejected;
 }
 
-bool same_trace(const std::vector<telemetry::TraceEvent>& a,
-                const std::vector<telemetry::TraceEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time != b[i].time || a[i].from_as != b[i].from_as ||
-        a[i].to_as != b[i].to_as || a[i].frame_type != b[i].frame_type ||
-        a[i].prefix != b[i].prefix || a[i].frame_bytes != b[i].frame_bytes ||
-        a[i].understood != b[i].understood) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Every AS's Loc-RIB flattened to one comparable string.
 std::string dump_ribs(simnet::DbgpNetwork& net, std::size_t n) {
   std::string out;
@@ -401,15 +387,15 @@ simnet::ChaosOptions stress_chaos() {
 
 struct NetworkRun {
   simnet::RunStats stats;
-  std::vector<telemetry::TraceEvent> trace;
+  std::string hops;
   std::string ribs;
 };
 
 NetworkRun run_network(std::size_t speaker_threads, bool with_chaos) {
-  telemetry::PropagationTracer tracer;
+  telemetry::CausalTracer tracer;
   simnet::DbgpNetwork::Options options;
   options.delivery = simnet::DeliveryMode::kBatched;
-  options.tracer = &tracer;
+  options.causal = &tracer;
   options.speaker_threads = speaker_threads;
   simnet::DbgpNetwork net = make_line(5, options);
   for (std::uint32_t i = 0; i < 20; ++i) net.originate(1 + i % 5, nth_prefix(i));
@@ -419,7 +405,7 @@ NetworkRun run_network(std::size_t speaker_threads, bool with_chaos) {
   }
   NetworkRun result;
   result.stats = net.run_to_convergence();
-  result.trace = tracer.events();
+  result.hops = frame_hops(tracer);
   result.ribs = dump_ribs(net, 5);
   return result;
 }
@@ -430,7 +416,7 @@ TEST(ShardPipelineNetwork, FaultFreeBitIdenticalAcrossSpeakerThreads) {
   for (const std::size_t threads : {2ul, 8ul}) {
     const NetworkRun parallel = run_network(threads, /*with_chaos=*/false);
     EXPECT_TRUE(same_churn(baseline.stats, parallel.stats)) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
+    EXPECT_EQ(baseline.hops, parallel.hops) << threads << " threads";
     EXPECT_EQ(baseline.ribs, parallel.ribs) << threads << " threads";
   }
 }
@@ -441,7 +427,7 @@ TEST(ShardPipelineNetwork, ChaosBitIdenticalAcrossSpeakerThreads) {
   for (const std::size_t threads : {2ul, 8ul}) {
     const NetworkRun parallel = run_network(threads, /*with_chaos=*/true);
     EXPECT_TRUE(same_churn(baseline.stats, parallel.stats)) << threads << " threads";
-    EXPECT_TRUE(same_trace(baseline.trace, parallel.trace)) << threads << " threads";
+    EXPECT_EQ(baseline.hops, parallel.hops) << threads << " threads";
     EXPECT_EQ(baseline.ribs, parallel.ribs) << threads << " threads";
   }
 }

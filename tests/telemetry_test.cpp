@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/parser.h"
@@ -9,7 +11,6 @@
 #include "telemetry/json_export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/timer.h"
-#include "telemetry/trace.h"
 #include "util/json.h"
 
 namespace dbgp::telemetry {
@@ -166,22 +167,6 @@ TEST(Timers, DisabledScopedTimerRecordsNothing) {
   EXPECT_EQ(wall.count(), 0u);
 }
 
-TEST(Tracer, RecordsAndEnforcesLimit) {
-  PropagationTracer tracer(/*limit=*/2);
-  TraceEvent e;
-  e.from_as = 1;
-  e.to_as = 2;
-  e.frame_type = "announce";
-  tracer.record(e);
-  tracer.record(e);
-  tracer.record(e);  // beyond the limit: counted, not stored
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 1u);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
 // -- JSON ---------------------------------------------------------------------
 
 TEST(Json, ParseDumpRoundTrip) {
@@ -233,31 +218,6 @@ TEST(Json, SnapshotRoundTrip) {
   EXPECT_EQ(rh->buckets[2], 1u);  // overflow
 }
 
-TEST(Json, TraceExportShape) {
-  PropagationTracer tracer;
-  TraceEvent e;
-  e.time = 0.25;
-  e.from_as = 1;
-  e.to_as = 2;
-  e.frame_type = "announce";
-  e.prefix = "10.0.0.0/8";
-  e.frame_bytes = 40;
-  e.ia_bytes = 36;
-  e.protocols = {"bgp", "wiser"};
-  e.understood = true;
-  tracer.record(e);
-
-  const auto v = to_json(tracer);
-  ASSERT_NE(v.find("events"), nullptr);
-  const auto& events = v.find("events")->as_array();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].number_or("time", 0.0), 0.25);
-  EXPECT_EQ(events[0].string_or("frame", ""), "announce");
-  EXPECT_EQ(events[0].find("protocols")->as_array().size(), 2u);
-  EXPECT_TRUE(events[0].find("understood")->as_bool());
-  EXPECT_DOUBLE_EQ(v.number_or("dropped", -1.0), 0.0);
-}
-
 // -- Integration: registry counters vs legacy DbgpStats -----------------------
 
 // The Figure 8 pathlet scenario (scenarios/figure8_pathlets.dbgp), inlined so
@@ -289,7 +249,7 @@ TEST(Integration, RegistryCountersMatchLegacyDbgpStats) {
   fresh_registry();
   const auto scenario = scenario::parse_scenario(kFigure8Pathlets);
   scenario::Runner runner;
-  runner.enable_tracing();
+  runner.enable_causal_tracing();
   runner.build(scenario);
   const auto result = runner.run();
   EXPECT_TRUE(result.converged);
@@ -334,12 +294,24 @@ TEST(Integration, RegistryCountersMatchLegacyDbgpStats) {
   ASSERT_NE(decode, nullptr);
   EXPECT_GT(decode->count, 0u);
 
-  // Tracing captured the propagation hop by hop.
-  const auto events = runner.tracer().events();
-  ASSERT_GE(events.size(), 1u);
-  EXPECT_EQ(events[0].frame_type, "announce");
-  EXPECT_GT(events[0].ia_bytes, 0u);
-  EXPECT_EQ(events[0].prefix, "131.1.4.0/24");
+  // The frame spans carry Figure 8's walk hop by hop: the pathlet control
+  // information crosses the BGP gulf (AS 7) as pass-through, and the far
+  // pathlet island (AS 9) understands it.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> hops;
+  for (const auto& span : runner.causal().spans()) {
+    if (span.kind != SpanKind::kFrame) continue;
+    EXPECT_EQ(span.name, "announce");
+    EXPECT_EQ(span.prefix, "131.1.4.0/24");
+    EXPECT_EQ(span.detail.rfind("bytes=", 0), 0u) << span.detail;
+    hops[{span.as, span.peer_as}] = span.detail;
+  }
+  ASSERT_EQ(hops.size(), 3u);
+  const std::string& into_gulf = hops[{2, 7}];
+  EXPECT_NE(into_gulf.find("pathlets"), std::string::npos) << into_gulf;
+  EXPECT_NE(into_gulf.find(",pass-through"), std::string::npos) << into_gulf;
+  const std::string& into_island = hops[{7, 9}];
+  EXPECT_NE(into_island.find("pathlets"), std::string::npos) << into_island;
+  EXPECT_NE(into_island.find(",understood"), std::string::npos) << into_island;
 }
 
 }  // namespace

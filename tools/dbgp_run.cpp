@@ -1,7 +1,7 @@
 // dbgp_run — run a D-BGP scenario file and report routes and expectations.
 //
 //   dbgp_run <scenario-file> [--tables] [--quiet] [--batched]
-//            [--metrics <file>] [--trace <file>] [--trace-format json|perfetto]
+//            [--metrics <file>] [--trace <file>]
 //            [--explain <as>:<prefix>]
 //            [--chaos-seed <n>] [--chaos-profile <name>]
 //            [--threads <n>] [--speaker-threads <n>] [--max-events <n>]
@@ -14,11 +14,11 @@
 //
 // --metrics writes a JSON snapshot of the process-wide telemetry registry
 // (speaker counters, codec latency histograms, simnet gauges) after the run;
-// --trace additionally records what happened during the run and writes it to
-// the given file. The default --trace-format=json is the flat per-hop IA
-// propagation trace; --trace-format=perfetto records the causal span/audit
-// trace instead and writes Chrome trace-event JSON for chrome://tracing or
-// ui.perfetto.dev.
+// --trace additionally records the causal span/audit trace of the run and
+// writes it to the given file as Chrome trace-event JSON for chrome://tracing
+// or ui.perfetto.dev. Its frame spans carry the per-hop facts of the paper's
+// Section 6.1 walk: the wire size, the protocols the IA carried, and whether
+// the receiver understood them or passed them through.
 //
 // --explain AS:PREFIX prints the causal chain (origination, wire hops,
 // per-hop decision verdicts) behind the route that AS holds for PREFIX after
@@ -106,17 +106,15 @@ void parse_explain(const std::string& arg, std::uint32_t& as, std::string& prefi
 
 int main(int argc, char** argv) {
   dbgp::util::Flags flags;
-  flags.allow({"tables", "quiet", "batched", "metrics", "trace", "trace-format",
-               "explain", "chaos-seed", "chaos-profile", "threads",
-               "speaker-threads", "observe-interval", "event-log", "series",
-               "oracle", "max-events"});
+  flags.allow({"tables", "quiet", "batched", "metrics", "trace", "explain",
+               "chaos-seed", "chaos-profile", "threads", "speaker-threads",
+               "observe-interval", "event-log", "series", "oracle", "max-events"});
   std::string error;
   if (!flags.parse(argc, argv, error) || flags.positional().size() != 1) {
     if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
     std::fprintf(stderr,
                  "usage: dbgp_run <scenario-file> [--tables] [--quiet] [--batched]\n"
                  "                [--metrics <file>] [--trace <file>]\n"
-                 "                [--trace-format json|perfetto]\n"
                  "                [--explain <as>:<prefix>]\n"
                  "                [--chaos-seed <n>] [--chaos-profile <name>]\n"
                  "                [--threads <n>] [--speaker-threads <n>]\n"
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
   const bool quiet = flags.get_bool("quiet", false);
   const std::string metrics_path = flags.get_string("metrics", "");
   const std::string trace_path = flags.get_string("trace", "");
-  const std::string trace_format = flags.get_string("trace-format", "json");
   const std::string explain_arg = flags.get_string("explain", "");
   const std::string chaos_profile = flags.get_string("chaos-profile", "");
   const std::int64_t chaos_seed = flags.get_int("chaos-seed", -1);
@@ -136,10 +133,6 @@ int main(int argc, char** argv) {
   const std::string series_path = flags.get_string("series", "");
   const std::string oracle_path = flags.get_string("oracle", "");
   const bool want_oracle = flags.has("oracle");
-  if (trace_format != "json" && trace_format != "perfetto") {
-    std::fprintf(stderr, "error: --trace-format must be json or perfetto\n");
-    return 2;
-  }
 
   try {
     std::uint32_t explain_as = 0;
@@ -170,9 +163,7 @@ int main(int argc, char** argv) {
     }
 
     dbgp::scenario::Runner runner;
-    if (!trace_path.empty() && trace_format == "json") runner.enable_tracing();
-    if ((!trace_path.empty() && trace_format == "perfetto") || !explain_arg.empty() ||
-        want_oracle) {
+    if (!trace_path.empty() || !explain_arg.empty() || want_oracle) {
       runner.enable_causal_tracing();
     }
     if (flags.has("observe-interval")) {
@@ -266,26 +257,13 @@ int main(int argc, char** argv) {
           metrics_path, dbgp::telemetry::MetricsRegistry::global().snapshot());
       if (!quiet) std::printf("metrics written to %s\n", metrics_path.c_str());
     }
-    if (!trace_path.empty() && trace_format == "json") {
-      dbgp::telemetry::write_trace_json(trace_path, runner.tracer());
-      if (!quiet) {
-        std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
-                    runner.tracer().size());
-      }
-      if (runner.tracer().dropped() > 0) {
-        std::fprintf(stderr,
-                     "warning: propagation trace capped — %zu events dropped "
-                     "(telemetry.trace.dropped); the JSON is a prefix of the run\n",
-                     runner.tracer().dropped());
-      }
-    }
-    if (!trace_path.empty() && trace_format == "perfetto") {
+    if (!trace_path.empty()) {
       if (!dbgp::telemetry::write_perfetto_json(runner.causal(), trace_path)) {
         std::fprintf(stderr, "error: cannot write %s\n", trace_path.c_str());
         return 2;
       }
       if (!quiet) {
-        std::printf("perfetto trace written to %s (%zu spans, %zu audits)\n",
+        std::printf("trace written to %s (%zu spans, %zu audits)\n",
                     trace_path.c_str(), runner.causal().span_count(),
                     runner.causal().audit_count());
       }
@@ -296,20 +274,13 @@ int main(int argc, char** argv) {
       if (!oracle_path.empty()) {
         dbgp::util::json::write_file(oracle_path, dbgp::telemetry::to_json(report));
       }
-      std::printf(
-          "oracle: verdict=%s converged=%zu diverged=%zu oscillating=%zu\n",
-          dbgp::telemetry::to_string(report.verdict), report.converged,
-          report.diverged, report.oscillating);
+      const std::string summary = dbgp::telemetry::summary(report);
+      std::printf("oracle: %s\n", summary.c_str());
       // Journal the verdict (before the JSONL below is written) so the event
       // log is a self-contained record of the run.
       if (runner.event_log() != nullptr) {
-        std::string detail = std::string("verdict=") +
-                             dbgp::telemetry::to_string(report.verdict);
-        detail += " converged=" + std::to_string(report.converged);
-        detail += " diverged=" + std::to_string(report.diverged);
-        detail += " oscillating=" + std::to_string(report.oscillating);
         runner.event_log()->record(runner.network().events().now(), "oracle", 0, 0,
-                                   std::move(detail));
+                                   summary);
       }
     }
     if (!event_log_path.empty()) {

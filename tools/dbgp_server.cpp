@@ -31,7 +31,7 @@
 // --restore boots the daemon from a RIB snapshot taken by the `snapshot`
 // command: the restored Loc-RIB is bit-identical to the serving state the
 // snapshot captured. --no-causal disables causal tracing (smaller memory
-// footprint, but why/blame and the divergence watchdog go dark).
+// footprint, but why/blame and health's convergence verdict go dark).
 //
 // --speaker-threads runs each speaker's decode/decision stages on a shared
 // worker pool (effective with --batched, traced or not). Serving state and

@@ -32,17 +32,23 @@
 //   * B/E pairs match per (pid, tid): every E closes an open B, none left
 //     open at the end;
 //   * flow events (`s`/`f`) have an `id`, and every `f` refers to an `id`
-//     some `s` opened.
+//     some `s` opened;
+//   * frame spans (`cat: "frame"`) carry their per-hop stamps
+//     (telemetry/causal.h): `args.detail` opens with the sender's
+//     `bytes=<n>`, n > 0, and every receiver stamp `protocols=...` is
+//     followed by its verdict, `understood` or `pass-through`.
 //
 // Exits 0 when every file passes, 1 on the first violation (with the file,
 // event index, and reason), 2 on IO/parse errors. The dbgp_trace_check
-// CMake target runs a scenario with --trace-format=perfetto and pipes the
-// result through this.
+// CMake target runs scenarios with dbgp_run --trace and pipes the results
+// through this.
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +62,29 @@ using dbgp::util::json::Value;
 bool fail(const std::string& file, std::size_t index, const std::string& reason) {
   std::fprintf(stderr, "%s: event %zu: %s\n", file.c_str(), index, reason.c_str());
   return false;
+}
+
+// The stamp rule for one frame span's detail; returns the violation, or ""
+// when the stamps are well formed.
+std::string frame_stamp_error(const Value& ev) {
+  const Value* args = ev.find("args");
+  const Value* detail = args != nullptr ? args->find("detail") : nullptr;
+  if (detail == nullptr || !detail->is_string()) return "frame span without detail";
+  std::vector<std::string> tokens;
+  std::stringstream in(detail->as_string());
+  for (std::string token; std::getline(in, token, ',');) tokens.push_back(token);
+  if (tokens.empty() || tokens[0].rfind("bytes=", 0) != 0 ||
+      std::strtoull(tokens[0].c_str() + 6, nullptr, 10) == 0) {
+    return "frame detail does not open with bytes=<n>, n > 0";
+  }
+  for (std::size_t t = 1; t < tokens.size(); ++t) {
+    if (tokens[t].rfind("protocols=", 0) != 0) continue;
+    if (t + 1 == tokens.size() ||
+        (tokens[t + 1] != "understood" && tokens[t + 1] != "pass-through")) {
+      return "frame stamp '" + tokens[t] + "' without understood/pass-through";
+    }
+  }
+  return "";
 }
 
 bool check_jsonl(const std::string& path) {
@@ -203,6 +232,12 @@ bool check_file(const std::string& path) {
         const Value* dur = ev.find("dur");
         if (dur == nullptr || !dur->is_number() || dur->as_double() < 0) {
           return fail(path, i, "X event without non-negative dur");
+        }
+        const Value* cat = ev.find("cat");
+        if (cat != nullptr && cat->is_string() && cat->as_string() == "frame") {
+          if (const std::string error = frame_stamp_error(ev); !error.empty()) {
+            return fail(path, i, error);
+          }
         }
       }
     } else if (phase == "s" || phase == "f") {
