@@ -520,6 +520,9 @@ void DbgpSpeaker::reset_routes() {
   pending_cause_.clear();
   emit_parent_ = 0;
   for (auto& pm : peer_metrics_) pm.adj_out_depth->set(0);
+  // Every IA that held a canonical tail is gone: release them now rather
+  // than at the interner's next growth-triggered sweep.
+  desc_interner_.gc();
 }
 
 // -- Origination ---------------------------------------------------------------

@@ -213,10 +213,11 @@ class DbgpSpeaker {
   std::vector<DbgpOutgoing> peer_up(bgp::PeerId peer, telemetry::SpanId cause = 0);
   bool peer_is_up(bgp::PeerId peer) const { return peers_.at(peer).up; }
   // Crash recovery: drops all learned state (adj-in, selected routes,
-  // adj-out, staged batch, frame cache) while keeping configuration —
-  // originated prefixes, modules, filters, and the peer roster survive like
-  // a config file across a reboot. Pair with reevaluate_all() to re-announce
-  // local prefixes and with the peers' sync to re-learn the rest.
+  // adj-out, staged batch, frame cache, and the interned descriptor tails
+  // they held) while keeping configuration — originated prefixes, modules,
+  // filters, and the peer roster survive like a config file across a
+  // reboot. Pair with reevaluate_all() to re-announce local prefixes and
+  // with the peers' sync to re-learn the rest.
   void reset_routes();
   // Sends the current table to a (newly established) peer.
   std::vector<DbgpOutgoing> sync_peer(bgp::PeerId peer);

@@ -60,10 +60,11 @@ void DescriptorInterner::intern(IntegratedAdvertisement& advert) {
   ++entries_;
   bucket.push_back(canonical);
   advert.attach_opaque_tail({std::move(canonical), 0});
-  // Bound dead-tail accumulation under churn without forgetting the working
-  // set: collect only once unreferenced tails dominate.
-  const std::size_t alive = live();
-  if (entries_ > 64 && entries_ > 2 * alive) gc();
+  // Amortized collection: sweep only once the table has doubled past the
+  // tails that survived the previous sweep. The misses since then pay for
+  // it (at most two tails examined per miss), and the working set is never
+  // forgotten.
+  if (entries_ > gc_threshold_) gc();
 }
 
 std::size_t DescriptorInterner::live() const noexcept {
@@ -77,6 +78,7 @@ std::size_t DescriptorInterner::live() const noexcept {
 }
 
 void DescriptorInterner::gc() {
+  stats_.swept += entries_;
   for (auto it = tails_.begin(); it != tails_.end();) {
     auto& bucket = it->second;
     std::erase_if(bucket, [this](const Arena& canonical) {
@@ -87,6 +89,7 @@ void DescriptorInterner::gc() {
     });
     it = bucket.empty() ? tails_.erase(it) : std::next(it);
   }
+  gc_threshold_ = std::max(kGcFloor, 2 * entries_);
 }
 
 }  // namespace dbgp::ia

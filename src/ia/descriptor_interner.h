@@ -1,18 +1,24 @@
 // Hash-consed IA descriptor-tail interning (DESIGN.md §14).
 //
 // Decoded Integrated Advertisements keep their descriptor section as a lazy
-// OpaqueTail into the received frame's byte arena (PR 2). That is zero-copy
-// per frame, but a full table learned from several peers holds thousands of
-// frame buffers whose descriptor bytes are identical — D-BGP descriptors are
+// OpaqueTail (DESIGN.md §7): an uncompressed decode copies just the tail
+// bytes into a buffer of their own, and a compressed one adopts the whole
+// decompressed body. A full table learned from several peers holds
+// thousands of such tails whose bytes are identical — D-BGP descriptors are
 // mostly shared island/protocol state (the paper's Section 3.2 sharing
 // argument, and the `shared_fraction` knob of the synthetic workloads).
 //
 // The DescriptorInterner canonicalizes: equal tail byte strings share one
-// tail-only arena. Rebinding an IA's OpaqueTail to the canonical arena drops
-// its reference to the original whole-frame buffer, so the frame's header
-// bytes become freeable and N identical tails cost one allocation. Handles
-// are the existing shared_ptr arena references — no new handle type — and
-// live() counts canonical tails still referenced by at least one IA.
+// tail-only arena, so N identical tails cost one allocation, and an IA from
+// a compressed frame lets go of its body-sized buffer. Handles are the
+// existing shared_ptr arena references — no new handle type — and live()
+// counts canonical tails still referenced by at least one IA.
+//
+// Dead tails are collected in amortized O(1) per miss: intern() sweeps the
+// table only once it holds more than max(kGcFloor, 2 x the tails that
+// survived the previous sweep), so a sweep examines at most two tails per
+// miss since the last one, and retained() never exceeds
+// max(kGcFloor, 2 x peak live()) between calls.
 //
 // One interner belongs to one DbgpSpeaker. Like AttrInterner it is not
 // thread-safe: all IA staging is sequential (stage_ia); the shard planners
@@ -32,16 +38,19 @@ namespace dbgp::ia {
 struct DescriptorInternerStats {
   std::uint64_t hits = 0;    // tail matched an existing canonical arena
   std::uint64_t misses = 0;  // tail copied into a new canonical arena
+  std::uint64_t swept = 0;   // canonical tails examined by collections
 };
 
 class DescriptorInterner {
  public:
-  // Tails longer than this stay on their zero-copy frame arena (the PR 2
-  // fast path): hashing + copying a bulk payload costs more than the dedup
-  // saves, and the SharedFrame refcount already de-duplicates storage for
-  // in-flight fan-out. Small descriptor sections — the island/protocol
-  // state that actually repeats across a table — are what interning wins on.
+  // Tails longer than this keep the buffer decode_ia gave them: hashing +
+  // copying a bulk payload costs more than the dedup saves, and the
+  // SharedFrame refcount already de-duplicates storage for in-flight
+  // fan-out. Small descriptor sections — the island/protocol state that
+  // actually repeats across a table — are what interning wins on.
   static constexpr std::size_t kMaxInternedTailBytes = 1024;
+  // intern() never sweeps a table of this many tails or fewer.
+  static constexpr std::size_t kGcFloor = 64;
 
   // Rebinds `advert`'s opaque tail to the canonical arena for its byte
   // content (creating one on first sight). No-op for IAs without a clean
@@ -50,8 +59,11 @@ class DescriptorInterner {
   void intern(IntegratedAdvertisement& advert);
 
   const DescriptorInternerStats& stats() const noexcept { return stats_; }
-  // Canonical tails currently referenced by at least one IA.
+  // Canonical tails currently referenced by at least one IA. O(table): for
+  // inspection, never called on the staging path.
   std::size_t live() const noexcept;
+  // Canonical tails held, referenced or not.
+  std::size_t retained() const noexcept { return entries_; }
   // Bytes retained across all canonical tails (referenced or cached).
   std::size_t bytes() const noexcept { return bytes_; }
   double hit_rate() const noexcept {
@@ -60,8 +72,9 @@ class DescriptorInterner {
   }
 
   // Drops canonical tails no longer referenced by any IA (use_count == 1:
-  // only the interner's own reference is left). Also runs opportunistically
-  // from intern() so churny workloads do not accumulate dead tails.
+  // only the interner's own reference is left) and re-arms intern()'s
+  // trigger at max(kGcFloor, 2 x survivors). Call it after dropping many
+  // IAs at once, rather than wait for the next trigger.
   void gc();
 
  private:
@@ -71,6 +84,7 @@ class DescriptorInterner {
   std::unordered_map<std::size_t, std::vector<Arena>> tails_;
   std::size_t entries_ = 0;
   std::size_t bytes_ = 0;
+  std::size_t gc_threshold_ = kGcFloor;  // intern() sweeps once entries_ exceeds it
   DescriptorInternerStats stats_;
 };
 

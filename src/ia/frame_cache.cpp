@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <span>
 
+#include "bgp/attr_interner.h"
 #include "telemetry/metrics.h"
-#include "util/bytes.h"
 
 namespace dbgp::ia {
 
@@ -36,9 +36,6 @@ struct Fnv {
   }
   void u64(std::uint64_t v) noexcept {
     for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  void bytes(std::span<const std::uint8_t> data) noexcept {
-    for (std::uint8_t b : data) byte(b);
   }
   // Large descriptor payloads are sampled (length + strided bytes): the hash
   // only routes to an equality-verified bucket, so under-mixing costs a
@@ -87,11 +84,9 @@ std::uint64_t FrameCache::content_hash(const IntegratedAdvertisement& ia,
     for (auto a : m.members) f.u64(a);
   }
 
-  // The baseline attribute block is small; hash its canonical encoding
-  // rather than duplicating the attribute walk here.
-  util::ByteWriter baseline;
-  ia.baseline.encode(baseline);
-  f.bytes(baseline.bytes());
+  // The attribute interner's content hash covers every baseline field
+  // without encoding the block into a buffer.
+  f.u64(bgp::hash_attrs(ia.baseline));
 
   if (ia.has_opaque_tail()) {
     // Identify the tail by provenance, not content: O(1), and two IAs

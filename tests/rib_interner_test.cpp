@@ -1,11 +1,13 @@
 // Interner and arena property tests (DESIGN.md §14): refcount accounting on
 // AttrInterner under random churn, handle-identity reinstall suppression in
-// the Loc-RIB, descriptor-tail canonicalization with GC, and arena-reuse
-// invariants on the pmr-backed RIBs. Part of `dbgp_concurrency_tests`
-// (ctest -L concurrency) so dbgp_tsan_check / dbgp_asan_check replay the
-// sharded-churn case under the sanitizers.
+// the Loc-RIB, descriptor-tail canonicalization with its amortized GC (exact
+// sweep-work and retention bounds), and arena-reuse invariants on the
+// pmr-backed RIBs. Part of `dbgp_concurrency_tests` (ctest -L concurrency)
+// so dbgp_tsan_check / dbgp_asan_check replay the sharded-churn case under
+// the sanitizers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -425,6 +427,65 @@ TEST(DescriptorInterner, GcReclaimsDeadTailsAndChurnStaysBounded) {
   EXPECT_GT(interner.bytes(), 0u);
 }
 
+// The amortized sweep, measured exactly. `swept` counts every canonical tail
+// a collection examines, so an O(table) census per miss shows up as
+// quadratic growth; the trigger promises at most two tails examined per miss
+// plus one floor's worth, and a table no larger than max(floor, 2 x peak
+// live) between calls.
+constexpr std::uint32_t kDistinctTails = 10'000;
+
+ia::IntegratedAdvertisement distinct_tail(std::uint32_t i) {
+  ia::IntegratedAdvertisement advert = make_ia(i, 0);
+  std::vector<std::uint8_t> index(4);
+  for (std::size_t b = 0; b < index.size(); ++b) {
+    index[b] = static_cast<std::uint8_t>(i >> (8 * b));
+  }
+  advert.set_path_descriptor(ia::kProtoWiser, 1, std::move(index));
+  return decode_fresh(advert);
+}
+
+::testing::AssertionResult amortized(const ia::DescriptorInterner& interner,
+                                     std::size_t peak_live) {
+  constexpr std::size_t kFloor = ia::DescriptorInterner::kGcFloor;
+  const ia::DescriptorInternerStats& stats = interner.stats();
+  if (stats.swept > 2 * stats.misses + kFloor) {
+    return ::testing::AssertionFailure()
+           << "swept " << stats.swept << " tails for " << stats.misses << " misses";
+  }
+  if (interner.retained() > std::max(kFloor, 2 * peak_live)) {
+    return ::testing::AssertionFailure()
+           << "retained " << interner.retained() << " tails at peak live " << peak_live;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DescriptorInterner, SweepsStayAmortizedWhenEveryTailDies) {
+  ia::DescriptorInterner interner;
+  for (std::uint32_t i = 0; i < kDistinctTails; ++i) {
+    ia::IntegratedAdvertisement advert = distinct_tail(i);
+    interner.intern(advert);
+    // Only the advertisement being interned is alive.
+    ASSERT_TRUE(amortized(interner, 1)) << "after tail " << i;
+  }
+  EXPECT_EQ(interner.stats().misses, kDistinctTails);
+  EXPECT_GT(interner.stats().swept, 0u);  // dead tails were collected
+  EXPECT_EQ(interner.live(), 0u);
+}
+
+TEST(DescriptorInterner, SweepsStayAmortizedWhenEveryTailLives) {
+  ia::DescriptorInterner interner;
+  std::vector<ia::IntegratedAdvertisement> kept;
+  kept.reserve(kDistinctTails);
+  for (std::uint32_t i = 0; i < kDistinctTails; ++i) {
+    kept.push_back(distinct_tail(i));
+    interner.intern(kept.back());
+    ASSERT_TRUE(amortized(interner, kept.size())) << "after tail " << i;
+  }
+  EXPECT_EQ(interner.stats().misses, kDistinctTails);
+  EXPECT_EQ(interner.live(), kDistinctTails);
+  EXPECT_EQ(interner.retained(), kDistinctTails);
+}
+
 // -- Sharded churn under the thread pool (TSan/ASan surface) ------------------
 
 core::DbgpConfig dbgp_as(bgp::AsNumber asn) {
@@ -461,6 +522,35 @@ struct WiserSender {
     return config;
   }
 };
+
+// A crash drops every learned IA at once. reset_routes() releases their
+// canonical tails right away rather than at the interner's next
+// growth-triggered sweep, and restoring the exported state re-interns the
+// same set.
+TEST(DescriptorInterner, ResetRoutesReleasesTailsAndRestoreReinterns) {
+  core::DbgpSpeaker rx(dbgp_as(1));
+  rx.add_module(std::make_unique<protocols::BgpModule>());
+  const bgp::PeerId from_a = rx.add_peer(900);
+  const bgp::PeerId from_b = rx.add_peer(901);
+  rx.add_peer(2);  // downstream, so the frame cache holds exported IAs too
+  WiserSender sender_a(900);
+  WiserSender sender_b(901);
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    rx.handle_frame(from_a, sender_a.speaker.originate(nth_prefix(i)).at(0).bytes());
+    rx.handle_frame(from_b, sender_b.speaker.originate(nth_prefix(i + 50)).at(0).bytes());
+  }
+  const std::size_t live = rx.descriptor_interner().live();
+  ASSERT_GT(live, 0u);
+  const core::DbgpSpeaker::SpeakerState state = rx.export_state();
+
+  rx.reset_routes();
+  EXPECT_EQ(rx.descriptor_interner().live(), 0u);
+  EXPECT_EQ(rx.descriptor_interner().bytes(), 0u);
+
+  rx.restore_state(state);
+  EXPECT_EQ(rx.descriptor_interner().live(), live);
+  EXPECT_EQ(rx.selected_prefixes().size(), 100u);
+}
 
 // Chaos-churn the parallel pipeline while the per-speaker interners run on
 // the sequential commit path: announce from two upstreams, withdraw
