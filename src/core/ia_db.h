@@ -2,15 +2,22 @@
 // the IA factory can provide pass-through — when a best path is selected,
 // the factory re-reads the *incoming* IA for that path and copies over
 // control information for protocols that were not used in selection.
+//
+// Like Quagga's bgp_node, one RouteNode per prefix holds everything the
+// speaker keeps for it: the received candidates (the IA DB proper), the
+// installed route (the Loc-RIB entry) and the frame last sent to each peer
+// (adj-out). DESIGN.md §14 gives the layout and its byte cost.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory_resource>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bgp/types.h"
+#include "ia/frame_cache.h"
 #include "ia/integrated_advertisement.h"
 #include "net/ipv4.h"
 
@@ -33,43 +40,29 @@ struct IaRoute {
   bool eligible = true;
 };
 
-class IaDb {
- public:
-  // Table storage (map nodes) comes from `arena` — the owning speaker's
-  // shard-local RibArena (DESIGN.md §14). The IAs themselves hold their
-  // descriptor bytes via shared (interned) OpaqueTail arenas.
-  explicit IaDb(std::pmr::memory_resource* arena = std::pmr::get_default_resource())
-      : routes_(arena) {}
+// A prefix's route state. Allocator-aware, so a node inside an arena-backed
+// table puts its candidate map and adj-out vector on the same arena.
+struct RouteNode {
+  using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
+  using AdjOutEntry = std::pair<bgp::PeerId, ia::SharedFrame>;
 
-  // Inserts or replaces the IA from (peer, prefix).
-  void upsert(IaRoute route);
-  // Removes (peer, prefix); true if present.
-  bool remove(bgp::PeerId peer, const net::Prefix& prefix);
-  // Drops everything from a peer; returns affected prefixes.
-  std::vector<net::Prefix> remove_peer(bgp::PeerId peer);
-  // Drops every route (crash/restart reset) without disturbing the arena
-  // binding — unlike assigning a fresh IaDb, which std::pmr forbids to
-  // retarget allocators.
-  void clear() noexcept;
+  explicit RouteNode(const allocator_type& alloc = {}) : candidates(alloc), adj_out(alloc) {}
 
-  const IaRoute* find(bgp::PeerId peer, const net::Prefix& prefix) const;
-  IaRoute* find_mutable(bgp::PeerId peer, const net::Prefix& prefix);
-  // All candidates for a prefix in peer order (deterministic).
-  std::vector<const IaRoute*> candidates(const net::Prefix& prefix) const;
-  std::vector<IaRoute*> candidates_mutable(const net::Prefix& prefix);
-  // Allocation-free view of the same candidates: the per-peer map for a
-  // prefix, nullptr when the prefix is unknown. Iteration order (peer id)
-  // matches candidates(); the pointer is invalidated by upsert/remove. The
-  // decision hot path iterates this instead of materializing a vector.
-  const std::pmr::map<bgp::PeerId, IaRoute>* candidate_map(const net::Prefix& prefix) const;
-  // All prefixes currently known (for full-table dumps to new peers).
-  std::vector<net::Prefix> prefixes() const;
+  // Nothing left to keep: the decision that empties a node erases it.
+  bool empty() const noexcept { return candidates.empty() && !selected && adj_out.empty(); }
 
-  std::size_t size() const noexcept { return size_; }
-
- private:
-  std::pmr::map<net::Prefix, std::pmr::map<bgp::PeerId, IaRoute>> routes_;
-  std::size_t size_ = 0;
+  // Received IAs by peer. Map nodes never move, so a plan's pointer to its
+  // winner survives every commit but its own.
+  std::pmr::map<bgp::PeerId, IaRoute> candidates;
+  // The installed route, an owned copy: a later upsert may overwrite the
+  // winner's candidate slot before the next decision compares against it.
+  std::optional<IaRoute> selected;
+  // Last advertisement sent to each peer, sorted by peer id, for delta
+  // suppression. Frames are shared with the frame cache.
+  std::pmr::vector<AdjOutEntry> adj_out;
 };
+
+// The speaker's route table, in prefix order.
+using RouteTable = std::pmr::map<net::Prefix, RouteNode>;
 
 }  // namespace dbgp::core

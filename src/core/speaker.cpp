@@ -85,6 +85,11 @@ void record_stage_wall(const char* stage, std::uint64_t wall_ns) {
                  telemetry::Histogram::default_latency_bounds())
       .record(static_cast<double>(wall_ns) * 1e-9);
 }
+
+// A peer's entry in a node's adj-out (sorted by peer id), or where it goes.
+auto adj_out_slot(RouteNode& node, bgp::PeerId peer) {
+  return std::ranges::lower_bound(node.adj_out, peer, {}, &RouteNode::AdjOutEntry::first);
+}
 }  // namespace
 
 DbgpSpeaker::DbgpSpeaker(DbgpConfig config, LookupService* lookup)
@@ -93,9 +98,7 @@ DbgpSpeaker::DbgpSpeaker(DbgpConfig config, LookupService* lookup)
       factory_(IaFactory::Params{config_.asn, config_.island, config_.next_hop,
                                  /*prepend_own_as=*/true}),
       arena_(std::make_unique<util::RibArena>()),
-      ia_db_(arena_->resource()),
-      selected_(arena_->resource()),
-      adj_out_(arena_->resource()) {
+      routes_(arena_->resource()) {
   // Default global filters per Figure 5: unified loop detection on import;
   // island handling on export.
   import_filters_.add("loop-detection", loop_detection_filter());
@@ -365,7 +368,9 @@ std::optional<net::Prefix> DbgpSpeaker::stage_frame(bgp::PeerId from,
       ++stats_.withdraws_received;
       SpeakerMetrics::get().withdraws_received->inc();
       peer_metrics_[from].withdraws_in->inc();
-      if (ia_db_.remove(from, prefix)) {
+      // An emptied node stays until the decision this returns commits.
+      const auto it = routes_.find(prefix);
+      if (it != routes_.end() && it->second.candidates.erase(from) > 0) {
         if (causal_ != nullptr && cause != 0) pending_cause_[prefix] = cause;
         return prefix;
       }
@@ -449,7 +454,8 @@ std::optional<net::Prefix> DbgpSpeaker::stage_ia(bgp::PeerId from,
                                    ia.destination.to_string(), std::move(rejected_by));
     }
     // A dropped IA acts as an implicit withdraw of the prior route.
-    if (ia_db_.remove(from, ia.destination)) {
+    const auto it = routes_.find(ia.destination);
+    if (it != routes_.end() && it->second.candidates.erase(from) > 0) {
       if (drop_span != 0) pending_cause_[ia.destination] = drop_span;
       return ia.destination;
     }
@@ -477,7 +483,7 @@ std::optional<net::Prefix> DbgpSpeaker::stage_ia(bgp::PeerId from,
   // peers/prefixes collapse onto one shared arena, and the IA lets go of its
   // whole-frame receive buffer.
   desc_interner_.intern(route.ia);
-  ia_db_.upsert(std::move(route));
+  routes_.try_emplace(prefix).first->second.candidates.insert_or_assign(from, std::move(route));
   if (causal_ != nullptr && cause != 0) pending_cause_[prefix] = cause;
   return prefix;
 }
@@ -485,14 +491,19 @@ std::optional<net::Prefix> DbgpSpeaker::stage_ia(bgp::PeerId from,
 std::vector<DbgpOutgoing> DbgpSpeaker::peer_down(bgp::PeerId peer, telemetry::SpanId cause) {
   drain_staged();
   std::vector<DbgpOutgoing> out;
-  peers_.at(peer).up = false;
-  adj_out_.erase(peer);
+  Peer& down = peers_.at(peer);
+  down.up = false;
+  down.adj_out_depth = 0;
   peer_metrics_[peer].flaps->inc();
   peer_metrics_[peer].adj_out_depth->set(0);
-  external_cause_ = cause;
-  for (const auto& prefix : ia_db_.remove_peer(peer)) {
-    commit_plan(plan_decision(prefix, frame_cache_), out);
+  // One pass drops the peer's adj-out entry and candidate from every node.
+  std::vector<net::Prefix> affected;
+  for (auto& [prefix, node] : routes_) {
+    std::erase_if(node.adj_out, [peer](const auto& entry) { return entry.first == peer; });
+    if (node.candidates.erase(peer) > 0) affected.push_back(prefix);
   }
+  external_cause_ = cause;
+  for (const auto& prefix : affected) commit_plan(plan_decision(prefix, frame_cache_), out);
   external_cause_ = 0;
   return out;
 }
@@ -507,18 +518,17 @@ std::vector<DbgpOutgoing> DbgpSpeaker::peer_up(bgp::PeerId peer, telemetry::Span
 }
 
 void DbgpSpeaker::reset_routes() {
-  ia_db_.clear();
-  selected_.clear();
-  adj_out_.clear();
+  routes_.clear();
   batch_.clear();
   batch_seen_.clear();
   staged_.clear();
   frame_cache_.clear();
   for (ia::FrameCache& cache : shard_caches_) cache.clear();
-  // Learned causal state dies with the routes; origin_span_ survives like
-  // originated_ (a reboot does not re-originate).
+  // Learned causal state dies with the routes; the origination spans in
+  // originated_ survive (a reboot does not re-originate).
   pending_cause_.clear();
   emit_parent_ = 0;
+  for (Peer& p : peers_) p.adj_out_depth = 0;
   for (auto& pm : peer_metrics_) pm.adj_out_depth->set(0);
   // Every IA that held a canonical tail is gone: release them now rather
   // than at the interner's next growth-triggered sweep.
@@ -531,14 +541,13 @@ std::vector<DbgpOutgoing> DbgpSpeaker::originate(const net::Prefix& prefix,
                                                  telemetry::SpanId cause) {
   drain_staged();
   std::vector<DbgpOutgoing> out;
-  originated_[prefix] = true;
+  // An untraced re-origination keeps the span already stored.
+  telemetry::SpanId& root = originated_[prefix];
   if (causal_ != nullptr) {
     // The root of a new trace: everything this advertisement causes anywhere
     // in the network shares the minted trace id.
-    const telemetry::SpanId root =
-        causal_->instant(telemetry::SpanKind::kOrigination, cause, trace_now(),
-                         config_.asn, 0, "originate", prefix.to_string());
-    origin_span_[prefix] = root;
+    root = causal_->instant(telemetry::SpanKind::kOrigination, cause, trace_now(),
+                            config_.asn, 0, "originate", prefix.to_string());
     pending_cause_[prefix] = root;
   }
   commit_plan(plan_decision(prefix, frame_cache_), out);
@@ -549,19 +558,16 @@ std::vector<DbgpOutgoing> DbgpSpeaker::withdraw_origin(const net::Prefix& prefix
                                                        telemetry::SpanId cause) {
   drain_staged();
   std::vector<DbgpOutgoing> out;
-  if (originated_.erase(prefix) > 0) {
-    if (causal_ != nullptr) {
-      // Linked to the origination so the withdrawal stays in the same trace.
-      auto it = origin_span_.find(prefix);
-      const telemetry::SpanId parent =
-          cause != 0 ? cause : it != origin_span_.end() ? it->second : 0;
-      pending_cause_[prefix] =
-          causal_->instant(telemetry::SpanKind::kOrigination, parent, trace_now(),
-                           config_.asn, 0, "withdraw-origin", prefix.to_string());
-      if (it != origin_span_.end()) origin_span_.erase(it);
-    }
-    commit_plan(plan_decision(prefix, frame_cache_), out);
+  const auto it = originated_.find(prefix);
+  if (it == originated_.end()) return out;
+  if (causal_ != nullptr) {
+    // Linked to the origination so the withdrawal stays in the same trace.
+    pending_cause_[prefix] =
+        causal_->instant(telemetry::SpanKind::kOrigination, cause != 0 ? cause : it->second,
+                         trace_now(), config_.asn, 0, "withdraw-origin", prefix.to_string());
   }
+  originated_.erase(it);
+  commit_plan(plan_decision(prefix, frame_cache_), out);
   return out;
 }
 
@@ -580,14 +586,14 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
   plan.active = active_module(prefix);
   DecisionModule* active = plan.active;
   const bool tracing = causal_ != nullptr;
-  const auto current = selected_.find(prefix);
-  if (tracing && current != selected_.end()) {
-    plan.audit.prev_path = current->second.ia.path_vector.to_string();
-  }
-  const auto* candidates = ia_db_.candidate_map(prefix);
+  const auto it = routes_.find(prefix);
+  const RouteNode* node = it == routes_.end() ? nullptr : &it->second;
+  const IaRoute* current = node != nullptr && node->selected ? &*node->selected : nullptr;
+  if (tracing && current != nullptr) plan.audit.prev_path = current->ia.path_vector.to_string();
+  const auto* candidates = node != nullptr ? &node->candidates : nullptr;
 
   const IaRoute* winner = nullptr;
-  if (originated_.count(prefix) > 0) {
+  if (const auto origin_it = originated_.find(prefix); origin_it != originated_.end()) {
     // Locally originated prefixes always win.
     ExportContext octx;
     octx.own_as = config_.asn;
@@ -595,11 +601,9 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
     IaRoute& origin = plan.origin.emplace();
     origin.ia = factory_.create_origin(prefix, active, octx);
     origin.from_peer = bgp::kInvalidPeer;
-    if (auto it = origin_span_.find(prefix); it != origin_span_.end()) {
-      origin.via_span = it->second;
-    }
-    plan.changed = current == selected_.end() || !(current->second.ia == origin.ia) ||
-                   current->second.from_peer != bgp::kInvalidPeer;
+    origin.via_span = origin_it->second;
+    plan.changed = current == nullptr || !(current->ia == origin.ia) ||
+                   current->from_peer != bgp::kInvalidPeer;
     if (tracing && candidates != nullptr) {
       for (const auto& [peer, c] : *candidates) {
         plan.audit.candidates.push_back({c.neighbor_as, c.ia.path_vector.to_string(),
@@ -658,7 +662,7 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
 
     if (best == nullptr) {
       // Unreachable: a selected route is withdrawn from every peer.
-      plan.changed = current != selected_.end();
+      plan.changed = current != nullptr;
       if (plan.changed) {
         plan.emits.reserve(peers_.size());
         for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
@@ -668,8 +672,8 @@ DbgpSpeaker::DecisionPlan DbgpSpeaker::plan_decision(const net::Prefix& prefix,
       return plan;
     }
     plan.learned = best;
-    plan.changed = current == selected_.end() || current->second.from_peer != best->from_peer ||
-                   !(current->second.ia == best->ia);
+    plan.changed = current == nullptr || current->from_peer != best->from_peer ||
+                   !(current->ia == best->ia);
     winner = best;
   }
 
@@ -702,17 +706,22 @@ void DbgpSpeaker::commit_plan(DecisionPlan&& plan, std::vector<DbgpOutgoing>& ou
                                 "decision", prefix.to_string());
   }
 
+  // One lookup for the whole commit. Only an origin can need a new node: a
+  // learned winner lives in its node, and so does a route being withdrawn.
+  auto it = routes_.find(prefix);
+  if (it == routes_.end() && plan.origin) it = routes_.try_emplace(prefix).first;
+  RouteNode* node = it == routes_.end() ? nullptr : &it->second;
+
   // The Loc-RIB write: an origin always overwrites; a learned winner is
   // copied only when it changed, so an unchanged entry keeps its via_span.
-  const IaRoute* installed = nullptr;
   if (plan.origin) {
-    installed = &selected_.insert_or_assign(prefix, std::move(*plan.origin)).first->second;
+    node->selected = std::move(*plan.origin);
   } else if (plan.learned != nullptr) {
-    installed = plan.changed ? &selected_.insert_or_assign(prefix, *plan.learned).first->second
-                             : &selected_.find(prefix)->second;
-  } else {
-    selected_.erase(prefix);
+    if (plan.changed) node->selected = *plan.learned;
+  } else if (node != nullptr) {
+    node->selected.reset();
   }
+  const IaRoute* installed = node != nullptr && node->selected ? &*node->selected : nullptr;
   if (plan.changed && plan.active != nullptr) plan.active->on_best_changed(prefix, installed);
 
   if (causal_ != nullptr) {
@@ -732,13 +741,15 @@ void DbgpSpeaker::commit_plan(DecisionPlan&& plan, std::vector<DbgpOutgoing>& ou
     emit_parent_ = dspan;  // the frames below chain to this decision
   }
 
+  // Emits exist only when the node does (a winner or a withdrawn route).
   for (PlannedEmit& e : plan.emits) {
     if (e.frame != nullptr) {
-      emit(e.peer, prefix, std::move(e.frame), out);
+      emit(*node, e.peer, prefix, std::move(e.frame), out);
     } else {
-      withdraw_from_peer(e.peer, prefix, out);
+      withdraw_from_peer(*node, e.peer, prefix, out);
     }
   }
+  if (node != nullptr && node->empty()) routes_.erase(it);
 }
 
 // -- Export (stages 5-7) -------------------------------------------------------
@@ -784,14 +795,30 @@ ia::SharedFrame DbgpSpeaker::export_frame(bgp::PeerId peer, const ExportBase& ba
                              [&] { return encode_announce(ia_out, config_.codec); });
 }
 
-void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
-                                     std::vector<DbgpOutgoing>& out) {
-  auto it = adj_out_.find(peer);
-  if (it == adj_out_.end() || it->second.erase(prefix) == 0) return;
+bool DbgpSpeaker::store_adj_out(RouteNode& node, bgp::PeerId peer,
+                                const ia::SharedFrame& frame) {
+  const auto slot = adj_out_slot(node, peer);
+  if (slot != node.adj_out.end() && slot->first == peer) {
+    // Same cache entry => pointer equality, no byte walk.
+    if (slot->second == frame || *slot->second == *frame) return false;
+    slot->second = frame;
+  } else {
+    node.adj_out.emplace(slot, peer, frame);
+    ++peers_[peer].adj_out_depth;
+  }
+  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(peers_[peer].adj_out_depth));
+  return true;
+}
+
+void DbgpSpeaker::withdraw_from_peer(RouteNode& node, bgp::PeerId peer,
+                                     const net::Prefix& prefix, std::vector<DbgpOutgoing>& out) {
+  const auto slot = adj_out_slot(node, peer);
+  if (slot == node.adj_out.end() || slot->first != peer) return;
+  node.adj_out.erase(slot);
   ++stats_.withdraws_sent;
   SpeakerMetrics::get().withdraws_sent->inc();
   peer_metrics_[peer].withdraws_out->inc();
-  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(it->second.size()));
+  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(--peers_[peer].adj_out_depth));
   auto frame = ia::make_shared_frame(encode_withdraw(prefix));
   stats_.bytes_sent += frame->size();
   SpeakerMetrics::get().bytes_sent->inc(frame->size());
@@ -804,18 +831,13 @@ void DbgpSpeaker::withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix
   out.push_back({peer, std::move(frame), span});
 }
 
-void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
-                       std::vector<DbgpOutgoing>& out) {
+void DbgpSpeaker::emit(RouteNode& node, bgp::PeerId peer, const net::Prefix& prefix,
+                       ia::SharedFrame frame, std::vector<DbgpOutgoing>& out) {
   if (!peers_.at(peer).up) return;  // nothing reaches (or is recorded for) a down peer
-  auto& table = adj_out_[peer];
-  auto& sent = table[prefix];
-  // Delta suppression; same cache entry => pointer equality, no byte walk.
-  if (sent != nullptr && (sent == frame || *sent == *frame)) return;
-  sent = frame;
+  if (!store_adj_out(node, peer, frame)) return;  // delta suppression
   ++stats_.ias_sent;
   SpeakerMetrics::get().ias_sent->inc();
   peer_metrics_[peer].updates_out->inc();
-  peer_metrics_[peer].adj_out_depth->set(static_cast<std::int64_t>(table.size()));
   const bool out_of_band =
       config_.dissemination == Dissemination::kOutOfBand && lookup_ != nullptr;
   if (out_of_band) {
@@ -840,7 +862,9 @@ void DbgpSpeaker::emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFr
 std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
   std::vector<DbgpOutgoing> out;
   if (!peers_.at(peer).up) return out;
-  for (const auto& [prefix, best] : selected_) {
+  for (auto& [prefix, node] : routes_) {
+    if (!node.selected) continue;
+    const IaRoute& best = *node.selected;
     // No split-horizon withdraw here: the route's own source is skipped.
     if (best.from_peer == peer) continue;
     // No decision runs here: a synced frame chains straight to whatever span
@@ -850,7 +874,7 @@ std::vector<DbgpOutgoing> DbgpSpeaker::sync_peer(bgp::PeerId peer) {
     }
     const ExportBase base = export_base(active_module(prefix), prefix, best);
     if (ia::SharedFrame frame = export_frame(peer, base, frame_cache_)) {
-      emit(peer, prefix, std::move(frame), out);
+      emit(node, peer, prefix, std::move(frame), out);
     }
   }
   return out;
@@ -861,19 +885,25 @@ std::vector<DbgpOutgoing> DbgpSpeaker::reevaluate_all(telemetry::SpanId cause) {
   std::vector<DbgpOutgoing> out;
   external_cause_ = cause;
   // Re-run module import filters (the active protocol may have changed).
-  for (const auto& prefix : ia_db_.prefixes()) {
+  for (auto& [prefix, node] : routes_) {
     DecisionModule* active = active_module(prefix);
-    for (IaRoute* route : ia_db_.candidates_mutable(prefix)) {
-      route->eligible = active == nullptr || active->import_filter(*route);
+    for (auto& [peer, route] : node.candidates) {
+      route.eligible = active == nullptr || active->import_filter(route);
     }
   }
-  for (const auto& prefix : ia_db_.prefixes()) {
-    commit_plan(plan_decision(prefix, frame_cache_), out);
+  // Every prefix with candidates, then the originated prefixes without any
+  // (MOAS and anycast origins were decided in the first loop; deciding them
+  // twice would mint a second span and audit). A commit erases at most its
+  // own node, so the loop steps past it first.
+  for (auto it = routes_.begin(); it != routes_.end();) {
+    const net::Prefix prefix = it->first;
+    const bool learned = !it->second.candidates.empty();
+    ++it;
+    if (learned) commit_plan(plan_decision(prefix, frame_cache_), out);
   }
-  // Originated prefixes the IA DB also holds (MOAS, anycast) were decided
-  // above; deciding them twice would mint a second span and audit.
-  for (const auto& [prefix, unused] : originated_) {
-    if (ia_db_.candidate_map(prefix) == nullptr) {
+  for (const auto& [prefix, span] : originated_) {
+    const auto node = routes_.find(prefix);
+    if (node == routes_.end() || node->second.candidates.empty()) {
       commit_plan(plan_decision(prefix, frame_cache_), out);
     }
   }
@@ -887,24 +917,21 @@ DbgpSpeaker::SpeakerState DbgpSpeaker::export_state() const {
   SpeakerState state;
   state.sequence = sequence_;
   state.originated.reserve(originated_.size());
-  for (const auto& [prefix, unused] : originated_) state.originated.push_back(prefix);
-  for (const auto& prefix : ia_db_.prefixes()) {
-    for (const IaRoute* route : ia_db_.candidates(prefix)) {
-      state.adj_in.push_back({prefix, route->from_peer, route->neighbor_as,
-                              route->sequence, route->eligible,
-                              ia::encode_ia(route->ia, config_.codec)});
-    }
-  }
-  for (const auto& [prefix, route] : selected_) {
-    state.selected.push_back({prefix, route.from_peer, route.neighbor_as,
-                              route.sequence, route.eligible,
-                              ia::encode_ia(route.ia, config_.codec)});
-  }
-  for (const auto& [peer, table] : adj_out_) {
-    for (const auto& [prefix, frame] : table) {
+  for (const auto& [prefix, span] : originated_) state.originated.push_back(prefix);
+  const auto record = [this](const net::Prefix& prefix, const IaRoute& route) {
+    return RouteRecord{prefix, route.from_peer, route.neighbor_as, route.sequence,
+                       route.eligible, ia::encode_ia(route.ia, config_.codec)};
+  };
+  for (const auto& [prefix, node] : routes_) {
+    for (const auto& [peer, route] : node.candidates) state.adj_in.push_back(record(prefix, route));
+    if (node.selected) state.selected.push_back(record(prefix, *node.selected));
+    for (const auto& [peer, frame] : node.adj_out) {
       state.adj_out.push_back({prefix, peer, 0, 0, true, *frame});
     }
   }
+  // Adj-out records go peer-major; the stable sort keeps prefix order
+  // within a peer.
+  std::ranges::stable_sort(state.adj_out, {}, &RouteRecord::from_peer);
   return state;
 }
 
@@ -913,10 +940,9 @@ void DbgpSpeaker::restore_state(const SpeakerState& state, bool keep_adj_out) {
   // Unlike a reboot, a restore replaces configuration-level origination state
   // too: the snapshot is authoritative.
   originated_.clear();
-  origin_span_.clear();
   sequence_ = state.sequence;
-  for (const auto& prefix : state.originated) originated_[prefix] = true;
-  for (const auto& r : state.adj_in) {
+  for (const auto& prefix : state.originated) originated_.emplace(prefix, 0);
+  const auto decode = [this](const RouteRecord& r) {
     IaRoute route;
     route.ia = ia::decode_ia(r.bytes);
     desc_interner_.intern(route.ia);
@@ -924,38 +950,44 @@ void DbgpSpeaker::restore_state(const SpeakerState& state, bool keep_adj_out) {
     route.neighbor_as = r.neighbor_as;
     route.sequence = r.sequence;
     route.eligible = r.eligible;
-    ia_db_.upsert(std::move(route));
+    return route;
+  };
+  // A snapshot file is outside input: a record naming a peer this speaker
+  // does not have is malformed, like bad IA bytes.
+  const auto check_peer = [this](const RouteRecord& r) {
+    if (r.from_peer >= peers_.size()) {
+      throw util::DecodeError("snapshot record for " + r.prefix.to_string() +
+                              " names unknown peer " + std::to_string(r.from_peer));
+    }
+  };
+  for (const auto& r : state.adj_in) {
+    check_peer(r);
+    IaRoute route = decode(r);
+    const net::Prefix prefix = route.ia.destination;
+    routes_.try_emplace(prefix).first->second.candidates.insert_or_assign(r.from_peer,
+                                                                          std::move(route));
   }
   for (const auto& r : state.selected) {
-    IaRoute route;
-    route.ia = ia::decode_ia(r.bytes);
-    desc_interner_.intern(route.ia);
-    route.from_peer = r.from_peer;
-    route.neighbor_as = r.neighbor_as;
-    route.sequence = r.sequence;
-    route.eligible = r.eligible;
-    selected_[r.prefix] = std::move(route);
+    routes_.try_emplace(r.prefix).first->second.selected = decode(r);
   }
   if (!keep_adj_out) return;
   for (const auto& r : state.adj_out) {
-    adj_out_[r.from_peer][r.prefix] = ia::make_shared_frame(r.bytes);
-  }
-  for (bgp::PeerId peer = 0; peer < peers_.size(); ++peer) {
-    const auto it = adj_out_.find(peer);
-    peer_metrics_[peer].adj_out_depth->set(
-        it == adj_out_.end() ? 0 : static_cast<std::int64_t>(it->second.size()));
+    check_peer(r);
+    store_adj_out(routes_.try_emplace(r.prefix).first->second, r.from_peer,
+                  ia::make_shared_frame(r.bytes));
   }
 }
 
 const IaRoute* DbgpSpeaker::best(const net::Prefix& prefix) const {
-  auto it = selected_.find(prefix);
-  return it == selected_.end() ? nullptr : &it->second;
+  const auto it = routes_.find(prefix);
+  return it == routes_.end() || !it->second.selected ? nullptr : &*it->second.selected;
 }
 
 std::vector<net::Prefix> DbgpSpeaker::selected_prefixes() const {
   std::vector<net::Prefix> out;
-  out.reserve(selected_.size());
-  for (const auto& [prefix, route] : selected_) out.push_back(prefix);
+  for (const auto& [prefix, node] : routes_) {
+    if (node.selected) out.push_back(prefix);
+  }
   return out;
 }
 

@@ -202,22 +202,24 @@ class DbgpSpeaker {
     deferred_rejects_ = 0;
     return n;
   }
-  // Session teardown: marks the peer down, purges its adj-in and adj-out,
-  // and re-runs decisions for the affected prefixes. While a peer is down no
-  // advertisement or withdraw is emitted toward it (and adj-out stays empty),
-  // so a later peer_up()'s full-table sync is never delta-suppressed by
-  // state staged during the outage.
+  // Session teardown: marks the peer down, purges its adj-in and adj-out in
+  // one pass over the table, and re-runs decisions for the affected prefixes
+  // in prefix order. While a peer is down no advertisement or withdraw is
+  // emitted toward it (and adj-out stays empty), so a later peer_up()'s
+  // full-table sync is never delta-suppressed by state staged during the
+  // outage.
   std::vector<DbgpOutgoing> peer_down(bgp::PeerId peer, telemetry::SpanId cause = 0);
   // Session (re-)establishment: marks the peer up and returns the full-table
   // sync a real session performs on open.
   std::vector<DbgpOutgoing> peer_up(bgp::PeerId peer, telemetry::SpanId cause = 0);
   bool peer_is_up(bgp::PeerId peer) const { return peers_.at(peer).up; }
-  // Crash recovery: drops all learned state (adj-in, selected routes,
-  // adj-out, staged batch, frame cache, and the interned descriptor tails
-  // they held) while keeping configuration — originated prefixes, modules,
-  // filters, and the peer roster survive like a config file across a
-  // reboot. Pair with reevaluate_all() to re-announce local prefixes and
-  // with the peers' sync to re-learn the rest.
+  // Crash recovery: drops all learned state (the whole route table — adj-in,
+  // selected routes and adj-out — plus the staged batch, the frame cache,
+  // and the interned descriptor tails they held) while keeping
+  // configuration — originated prefixes, modules, filters, and the peer
+  // roster survive like a config file across a reboot. Pair with
+  // reevaluate_all() to re-announce local prefixes and with the peers' sync
+  // to re-learn the rest.
   void reset_routes();
   // Sends the current table to a (newly established) peer.
   std::vector<DbgpOutgoing> sync_peer(bgp::PeerId peer);
@@ -229,7 +231,8 @@ class DbgpSpeaker {
   // Selected best route; nullptr if unreachable. Originated prefixes return
   // a synthetic route with from_peer == kInvalidPeer.
   const IaRoute* best(const net::Prefix& prefix) const;
-  const IaDb& ia_db() const noexcept { return ia_db_; }
+  // Read-only view of the route table (one node per prefix).
+  const RouteTable& routes() const noexcept { return routes_; }
   const ia::DescriptorInterner& descriptor_interner() const noexcept { return desc_interner_; }
   const util::RibArena& rib_arena() const noexcept { return *arena_; }
   const DbgpStats& stats() const noexcept { return stats_; }
@@ -274,7 +277,8 @@ class DbgpSpeaker {
   // (warm restart: peers purged our routes at session loss, so the next
   // sync_peer must not be delta-suppressed). Module-internal state is not
   // restored; it rebuilds as later decisions run. Throws util::DecodeError
-  // on malformed IA bytes, leaving the speaker wiped but consistent.
+  // on malformed IA bytes or on an adj-in or adj-out record naming a peer id
+  // >= peer_count(), leaving the speaker wiped but consistent.
   void restore_state(const SpeakerState& state, bool keep_adj_out = true);
 
  private:
@@ -282,6 +286,9 @@ class DbgpSpeaker {
     bgp::AsNumber asn = 0;
     bool same_island = false;
     bool up = true;  // session state; down peers receive nothing
+    // Prefixes whose frame sits in this peer's adj-out (the adj_out_depth
+    // gauge).
+    std::size_t adj_out_depth = 0;
   };
 
   // Pipeline stages 1-3 for one frame/IA (filters, extractor, IA DB).
@@ -305,8 +312,9 @@ class DbgpSpeaker {
   struct DecisionPlan {
     net::Prefix prefix;
     DecisionModule* active = nullptr;
-    // The winner: an IA-DB candidate (nothing mutates the IA DB between
-    // plan and commit) or an owned origin route; neither = unreachable.
+    // The winner: a candidate in the prefix's node (only this plan's own
+    // commit can touch that node) or an owned origin route; neither =
+    // unreachable.
     const IaRoute* learned = nullptr;
     std::optional<IaRoute> origin;
     bool changed = false;  // against the current Loc-RIB entry
@@ -325,13 +333,16 @@ class DbgpSpeaker {
   // flush plans a whole batch on the pool, then commits it in first-touch
   // order.
   void commit_plan(DecisionPlan&& plan, std::vector<DbgpOutgoing>& out);
-  // The per-peer output of commit_plan and sync_peer: each updates adj-out,
-  // the sent counters, the frame span and (emit, out of band) the lookup
-  // service. emit applies delta suppression.
-  void withdraw_from_peer(bgp::PeerId peer, const net::Prefix& prefix,
+  // The per-peer output of commit_plan and sync_peer: each updates the
+  // node's adj-out, the sent counters, the frame span and (emit, out of
+  // band) the lookup service. emit applies delta suppression.
+  void withdraw_from_peer(RouteNode& node, bgp::PeerId peer, const net::Prefix& prefix,
                           std::vector<DbgpOutgoing>& out);
-  void emit(bgp::PeerId peer, const net::Prefix& prefix, ia::SharedFrame frame,
-            std::vector<DbgpOutgoing>& out);
+  void emit(RouteNode& node, bgp::PeerId peer, const net::Prefix& prefix,
+            ia::SharedFrame frame, std::vector<DbgpOutgoing>& out);
+  // Records `frame` as the node's last advertisement to `peer`, keeping the
+  // peer's adj-out count and gauge; false when it repeats the stored frame.
+  bool store_adj_out(RouteNode& node, bgp::PeerId peer, const ia::SharedFrame& frame);
 
   // The peer-invariant half of one decision's export (the factory base of
   // stage 6), built once and shared by every peer the decision fans out to.
@@ -381,21 +392,19 @@ class DbgpSpeaker {
   net::PrefixTrie<ia::ProtocolId> active_ranges_;
   GlobalFilterChain import_filters_;
   GlobalFilterChain export_filters_;
-  // Shard-local arena backing the RIB tables below (DESIGN.md §14);
-  // heap-pinned and declared before them so construction and destruction
+  // Shard-local arena backing the route table below (DESIGN.md §14);
+  // heap-pinned and declared before it so construction and destruction
   // order is right.
   std::unique_ptr<util::RibArena> arena_;
-  IaDb ia_db_;
+  // One node per prefix: candidates (adj-in), the selected route (Loc-RIB)
+  // and adj-out. A commit erases the node it leaves empty.
+  RouteTable routes_;
   // Canonicalizes descriptor tails across peers/prefixes; every IA entering
-  // ia_db_ or selected_ passes through it (stage_ia, restore_state).
+  // the route table passes through it (stage_ia, restore_state).
   ia::DescriptorInterner desc_interner_;
-  // Selected best per prefix (the Loc-RIB analog).
-  std::pmr::map<net::Prefix, IaRoute> selected_;
-  std::map<net::Prefix, bool> originated_;  // value unused; set semantics
-  // Last advertisement frame per (peer, prefix) for delta suppression.
-  // Frames are shared with the cache, so the pointer-equality fast path
-  // suppresses a re-advertisement without touching the bytes.
-  std::pmr::map<bgp::PeerId, std::pmr::map<net::Prefix, ia::SharedFrame>> adj_out_;
+  // Locally originated prefixes and the root span of each origination (0 =
+  // untraced). Survives reset_routes(): a reboot does not re-originate.
+  std::map<net::Prefix, telemetry::SpanId> originated_;
   // Encode-once fan-out across peers (and across decisions that re-select
   // the same route).
   ia::FrameCache frame_cache_;
@@ -426,9 +435,6 @@ class DbgpSpeaker {
   // that prefix's next decision run (covers both the immediate path and
   // batched coalescing, where the last of k staged updates wins).
   std::map<net::Prefix, telemetry::SpanId> pending_cause_;
-  // Root origination span per locally originated prefix. Survives
-  // reset_routes() like originated_: a reboot does not re-originate.
-  std::map<net::Prefix, telemetry::SpanId> origin_span_;
   // Parent for frame spans minted by emit()/withdraw_from_peer(): the
   // decision span commit_plan just closed, or the synced route's via_span
   // in sync_peer.

@@ -97,6 +97,12 @@ void RouteServer::load(const scenario::Scenario& scenario) {
   if (scenario.sweep) {
     throw std::runtime_error("a sweep scenario describes an experiment, not a servable network");
   }
+  if (scenario.dispute_wheel) {
+    // Its permitted-path import filters are not snapshot state, so a served
+    // wheel could not round-trip.
+    throw std::runtime_error("a dispute-wheel scenario cannot be served: its import filters "
+                             "do not survive a snapshot");
+  }
   pathlets_ = scenario.pathlets;
   scion_paths_ = scenario.scion_paths;
   for (const auto& decl : scenario.ases) add_as(decl);

@@ -204,74 +204,49 @@ void DbgpNetwork::crash(bgp::AsNumber asn) {
   }
 }
 
-void DbgpNetwork::restart(bgp::AsNumber asn) {
-  Node& node = nodes_.at(asn);
-  if (node.up) return;
-  const telemetry::SpanId cause = chaos_instant(asn, 0, "restart");
-  note_disruption(cause);
-  log_event("chaos", asn, 0, "restart", cause);
-  node.up = true;
-  ++churn_.restarts;
-  NetworkMetrics::get().restarts->inc();
-  // Cold boot from config: all learned state is gone; only originated
-  // prefixes, modules, filters, and the peer roster survive.
-  node.speaker->reset_routes();
-  // Align session state with current link/neighbor liveness before anything
-  // is emitted. peer_up on an empty table syncs nothing, so the calls below
-  // only set state.
-  for (bgp::PeerId peer = 0; peer < node.adjacencies.size(); ++peer) {
-    const auto& adj = node.adjacencies[peer];
-    const bool viable =
-        adj.link != nullptr && adj.link->up() && nodes_.at(adj.neighbor).up;
-    if (viable) {
-      node.speaker->peer_up(peer, cause);
-    } else {
-      node.speaker->peer_down(peer, cause);
-    }
-  }
-  // Re-announce our own prefixes, then have every live neighbor re-send its
-  // table over the re-established session (the refresh that re-fills the
-  // wiped RIB).
-  dispatch(asn, node.speaker->reevaluate_all(cause));
-  for (const auto& adj : node.adjacencies) {
-    if (adj.link == nullptr || !adj.link->up()) continue;
-    Node& neighbor = nodes_.at(adj.neighbor);
-    if (!neighbor.up) continue;
-    dispatch(adj.neighbor, neighbor.speaker->peer_up(peer_id(adj.neighbor, asn), cause));
-  }
-}
+void DbgpNetwork::restart(bgp::AsNumber asn) { reboot(asn, nullptr); }
 
 void DbgpNetwork::restart_warm(bgp::AsNumber asn,
                                const core::DbgpSpeaker::SpeakerState& state) {
+  reboot(asn, &state);
+}
+
+void DbgpNetwork::reboot(bgp::AsNumber asn, const core::DbgpSpeaker::SpeakerState* checkpoint) {
   Node& node = nodes_.at(asn);
   if (node.up) return;
-  const telemetry::SpanId cause = chaos_instant(asn, 0, "restart", "warm");
+  const bool warm = checkpoint != nullptr;
+  const telemetry::SpanId cause = chaos_instant(asn, 0, "restart", warm ? "warm" : "");
   note_disruption(cause);
-  log_event("chaos", asn, 0, "restart-warm", cause);
+  log_event("chaos", asn, 0, warm ? "restart-warm" : "restart", cause);
   node.up = true;
   ++churn_.restarts;
   NetworkMetrics::get().restarts->inc();
-  // Warm boot: the checkpointed RIB comes back instead of a wipe. adj-out is
-  // dropped — peers purged their adj-in from us at session loss, so the
-  // table syncs below must not be delta-suppressed against pre-crash frames.
-  node.speaker->restore_state(state, /*keep_adj_out=*/false);
-  // Align session state with current link/neighbor liveness. Unlike the cold
-  // path these calls emit: peer_up on the restored table is the full-table
-  // re-announcement, and peer_down prunes checkpoint entries whose sessions
-  // died while we were down.
+  if (warm) {
+    // The checkpointed RIB comes back instead of a wipe. adj-out is dropped
+    // — peers purged their adj-in from us at session loss, so the table
+    // syncs below must not be delta-suppressed against pre-crash frames.
+    node.speaker->restore_state(*checkpoint, /*keep_adj_out=*/false);
+  } else {
+    // Cold boot from config: all learned state is gone; only originated
+    // prefixes, modules, filters, and the peer roster survive.
+    node.speaker->reset_routes();
+  }
+  // Align session state with current link/neighbor liveness. On a restored
+  // table peer_up is the full-table re-announcement and peer_down prunes
+  // checkpoint entries whose sessions died while we were down; on a wiped
+  // table both return nothing.
   for (bgp::PeerId peer = 0; peer < node.adjacencies.size(); ++peer) {
     const auto& adj = node.adjacencies[peer];
     const bool viable =
         adj.link != nullptr && adj.link->up() && nodes_.at(adj.neighbor).up;
-    if (viable) {
-      dispatch(asn, node.speaker->peer_up(peer, cause));
-    } else {
-      dispatch(asn, node.speaker->peer_down(peer, cause));
-    }
+    dispatch(asn, viable ? node.speaker->peer_up(peer, cause)
+                         : node.speaker->peer_down(peer, cause));
   }
-  // Neighbors refresh their tables over the restored sessions; their
-  // announcements replace any checkpoint entries that went stale during the
-  // outage.
+  // A cold boot re-announces our own prefixes.
+  if (!warm) dispatch(asn, node.speaker->reevaluate_all(cause));
+  // Every live neighbor re-sends its table over the re-established session:
+  // the refresh that re-fills a wiped RIB, and replaces checkpoint entries
+  // that went stale during the outage.
   for (const auto& adj : node.adjacencies) {
     if (adj.link == nullptr || !adj.link->up()) continue;
     Node& neighbor = nodes_.at(adj.neighbor);
@@ -536,21 +511,17 @@ RunStats DbgpNetwork::run_until(double until, std::size_t max_events) {
   // Close the sampling gap a sparse event schedule leaves: the history ends
   // at `until`, not at the last delivered frame.
   if (options_.sampler != nullptr) options_.sampler->sample(until);
-  stats.link_flaps = churn_.link_flaps;
-  stats.crashes = churn_.crashes;
-  stats.restarts = churn_.restarts;
-  stats.frames_lost = churn_.frames_lost;
-  stats.frames_duplicated = churn_.frames_duplicated;
-  stats.frames_reordered = churn_.frames_reordered;
-  stats.frames_corrupted = churn_.frames_corrupted;
-  stats.frames_rejected = churn_.frames_rejected;
-  return stats;
+  return with_churn(stats);
 }
 
 RunStats DbgpNetwork::run_to_convergence(std::size_t max_events) {
   RunStats stats = events_.run(max_events);
   if (!stats.capped) close_disruption_window();
   if (options_.sampler != nullptr) options_.sampler->sample(events_.now());
+  return with_churn(stats);
+}
+
+RunStats DbgpNetwork::with_churn(RunStats stats) const {
   stats.link_flaps = churn_.link_flaps;
   stats.crashes = churn_.crashes;
   stats.restarts = churn_.restarts;

@@ -176,6 +176,11 @@ class DbgpNetwork {
 
   // Session-state transition for a link (called via Link::set_state).
   void on_link_state(Link& link, LinkState state);
+  // The one body of restart() (no checkpoint: a cold wipe plus
+  // re-origination) and restart_warm() (restore the checkpoint).
+  void reboot(bgp::AsNumber asn, const core::DbgpSpeaker::SpeakerState* checkpoint);
+  // `stats` plus the cumulative churn counters.
+  RunStats with_churn(RunStats stats) const;
   // The single delivery entry point shared by both modes: link/node checks,
   // telemetry, tracing, and decode-failure rejection happen identically;
   // only the final hand-off differs (handle_frame vs enqueue + coalesced

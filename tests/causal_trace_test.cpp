@@ -226,7 +226,7 @@ TEST(CausalInvariants, ReevaluateAllDecidesAMoasOriginOnce) {
   const bgp::PeerId from = speaker.add_peer(2);
   speaker.originate(prefix);
   speaker.handle_frame(from, announce);
-  ASSERT_NE(speaker.ia_db().candidate_map(prefix), nullptr);
+  ASSERT_EQ(speaker.routes().at(prefix).candidates.size(), 1u);
 
   CausalTracer tracer;
   speaker.set_causal(&tracer);

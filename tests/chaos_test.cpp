@@ -141,7 +141,7 @@ TEST(Corruption, RejectedWithoutStateChange) {
   auto& receiver = net.speaker(2);
   ASSERT_NE(receiver.best(prefix), nullptr);
   const auto selected_before = receiver.selected_prefixes();
-  const auto db_size_before = receiver.ia_db().prefixes().size();
+  const auto db_size_before = receiver.routes().size();
 
   // A real announce (from a standalone origin speaker — the in-net one has
   // already synced, so its adj-out delta-suppresses a re-emission) and a
@@ -174,7 +174,7 @@ TEST(Corruption, RejectedWithoutStateChange) {
   }
   EXPECT_EQ(rejected, 300);
   EXPECT_EQ(receiver.selected_prefixes(), selected_before);
-  EXPECT_EQ(receiver.ia_db().prefixes().size(), db_size_before);
+  EXPECT_EQ(receiver.routes().size(), db_size_before);
   ASSERT_NE(receiver.best(prefix), nullptr);
 }
 
@@ -278,6 +278,31 @@ TEST(LongPrefix, PathletDeliversPrefixRejected) {
   EXPECT_EQ(pathlets[0].delivers->to_string(), "10.0.0.0/24");
 }
 
+// A snapshot file is outside input too. The speaker keeps an adj-out count
+// per peer, so a record naming a peer id it does not have would index out
+// of range; restore_state rejects it like malformed IA bytes.
+TEST(SnapshotInput, UnknownPeerIdRejected) {
+  using State = core::DbgpSpeaker::SpeakerState;
+  DbgpNetwork net = make_line(3);
+  net.originate(1, *net::Prefix::parse("10.0.0.0/8"));
+  net.run_to_convergence();
+  auto& speaker = net.speaker(2);
+  const std::string before = rib_state(speaker);
+  const State good = speaker.export_state();
+  ASSERT_FALSE(good.adj_in.empty());
+  ASSERT_FALSE(good.adj_out.empty());
+  for (const auto records : {&State::adj_in, &State::adj_out}) {
+    for (const bgp::PeerId peer : {static_cast<bgp::PeerId>(speaker.peer_count()),
+                                   bgp::kInvalidPeer}) {
+      State bad = good;
+      (bad.*records).back().from_peer = peer;
+      EXPECT_THROW(speaker.restore_state(bad), util::DecodeError) << peer;
+    }
+  }
+  speaker.restore_state(good);
+  EXPECT_EQ(rib_state(speaker), before);
+}
+
 // -- Crash / restart ----------------------------------------------------------
 
 TEST(NodeChurn, CrashRestartRelearnsFromPeers) {
@@ -313,7 +338,7 @@ TEST(NodeChurn, ResetRoutesKeepsConfiguration) {
   speaker.reset_routes();
   EXPECT_EQ(speaker.best(prefix), nullptr);       // learned/selected state gone
   EXPECT_EQ(speaker.peer_count(), 1u);            // peer roster survives
-  EXPECT_EQ(speaker.ia_db().prefixes().size(), 0u);
+  EXPECT_TRUE(speaker.routes().empty());
   // Originations survive as config: reevaluate re-announces them.
   const auto out = speaker.reevaluate_all();
   EXPECT_FALSE(out.empty());

@@ -468,7 +468,10 @@ TEST(PeerMetricsTest, SessionsAccumulateLabeledCounters) {
   }
   net.add_link(1, 2);
   net.add_link(2, 3);
-  net.originate(1, *net::Prefix::parse("10.0.0.0/8"));
+  const auto kept = *net::Prefix::parse("10.0.0.0/8");
+  const auto withdrawn = *net::Prefix::parse("10.1.0.0/16");
+  net.originate(1, kept);
+  net.originate(1, withdrawn);
   net.run_to_convergence();
 
   const auto snapshot = MetricsRegistry::global().snapshot();
@@ -478,6 +481,39 @@ TEST(PeerMetricsTest, SessionsAccumulateLabeledCounters) {
   const auto* out = snapshot.find_counter("dbgp.peer.updates_out|as=1,peer=2");
   ASSERT_NE(out, nullptr);
   EXPECT_GT(out->value, 0u);
+
+  // dbgp.peer.adj_out_depth: prefixes currently advertised over a session.
+  // Split horizon keeps every route off the session it came in on.
+  const auto depth = [](const char* labels) -> std::int64_t {
+    const auto snap = MetricsRegistry::global().snapshot();
+    const auto* g = snap.find_gauge(std::string("dbgp.peer.adj_out_depth|") + labels);
+    return g == nullptr ? -1 : g->value;
+  };
+  EXPECT_EQ(depth("as=1,peer=2"), 2);
+  EXPECT_EQ(depth("as=2,peer=1"), 0);
+  EXPECT_EQ(depth("as=2,peer=3"), 2);
+  EXPECT_EQ(depth("as=3,peer=2"), 0);
+
+  net.withdraw(1, withdrawn);
+  net.run_to_convergence();
+  EXPECT_EQ(depth("as=1,peer=2"), 1);
+  EXPECT_EQ(depth("as=2,peer=1"), 0);
+  EXPECT_EQ(depth("as=2,peer=3"), 1);
+  EXPECT_EQ(depth("as=3,peer=2"), 0);
+
+  // A restore rebuilds the counts from the snapshot's adj-out records.
+  core::DbgpSpeaker& as2 = net.speaker(2);
+  as2.restore_state(as2.export_state());
+  EXPECT_EQ(depth("as=2,peer=1"), 0);
+  EXPECT_EQ(depth("as=2,peer=3"), 1);
+
+  net.link(2, 3).set_state(simnet::LinkState::kDown);
+  net.run_to_convergence();
+  EXPECT_EQ(depth("as=1,peer=2"), 1);
+  EXPECT_EQ(depth("as=2,peer=3"), 0);
+  as2.restore_state(as2.export_state());
+  EXPECT_EQ(depth("as=2,peer=1"), 0);
+  EXPECT_EQ(depth("as=2,peer=3"), 0);
 }
 
 }  // namespace

@@ -556,8 +556,8 @@ TEST(DescriptorInterner, ResetRoutesReleasesTailsAndRestoreReinterns) {
 // the sequential commit path: announce from two upstreams, withdraw
 // everything, repeat, then drain completely. Invariants: descriptor
 // interning dedups across peers and prefixes, a fully drained speaker holds
-// zero live canonical tails, and churn rounds return the arena to the
-// post-first-round baseline (reuse, not growth).
+// zero live canonical tails, and every round drains the route table and
+// its arena bytes to zero.
 TEST(RibInternerConcurrency, ShardedChurnDrainsToBaseline) {
   util::ThreadPool pool(4);
   core::DbgpSpeaker rx(dbgp_as(1));
@@ -571,7 +571,6 @@ TEST(RibInternerConcurrency, ShardedChurnDrainsToBaseline) {
   WiserSender sender_b(901);
 
   constexpr std::uint32_t kPrefixes = 200;
-  std::size_t arena_baseline = 0;
   for (int round = 0; round < 3; ++round) {
     for (std::uint32_t i = 0; i < kPrefixes; ++i) {
       rx.enqueue_frame(from_a, sender_a.speaker.originate(nth_prefix(i)).at(0).bytes());
@@ -601,13 +600,10 @@ TEST(RibInternerConcurrency, ShardedChurnDrainsToBaseline) {
     // drained table holds at most the distinct-tail count — here 1 — never
     // O(announcements received).
     EXPECT_LE(rx.descriptor_interner().live(), 1u) << "round " << round;
-    // Round 0 leaves persistent per-peer bookkeeping behind (adj-out peer
-    // nodes); every later round must land exactly back on that footprint.
-    if (round == 0) {
-      arena_baseline = rx.rib_arena().bytes_in_use();
-    } else {
-      EXPECT_EQ(rx.rib_arena().bytes_in_use(), arena_baseline) << "round " << round;
-    }
+    // Every commit erased the route node it left empty, so a drained table
+    // holds nothing in the arena.
+    EXPECT_TRUE(rx.routes().empty()) << "round " << round;
+    EXPECT_EQ(rx.rib_arena().bytes_in_use(), 0u) << "round " << round;
   }
 }
 

@@ -411,6 +411,18 @@ TEST(ServerStanza, RejectsBackwardsTimeAndSweepCombination) {
       std::runtime_error);
 }
 
+// A served network must round-trip through snapshots. A dispute wheel's
+// permitted-path import filters are not snapshot state, and a sweep is an
+// experiment, so load() refuses both before it builds anything.
+TEST(ServerStanza, LoadRejectsDisputeWheelAndSweepScenarios) {
+  for (const char* name : {"dispute_wheel_5_fc50.dbgp", "figure9_extra_paths.dbgp"}) {
+    const auto scenario = scenario::load_scenario(std::string(DBGP_SCENARIO_DIR "/") + name);
+    RouteServer server;
+    EXPECT_THROW(server.load(scenario), std::runtime_error) << name;
+    EXPECT_TRUE(server.empty()) << name;
+  }
+}
+
 // -- Health ------------------------------------------------------------------
 
 TEST(Health, StableDaemonReportsConvergedWithoutDetailLines) {
